@@ -84,10 +84,21 @@ class ScanInfo:
         waiting_threads_by_bank: Per bank, threads with at least one
             request waiting for that bank — receivers of the
             bank-interference update.
+        ready_column_threads / ready_threads_by_bank: The same sets
+            restricted to threads with a *ready* command (the literal
+            basis, below).
         oldest_row_access_arrival: Per bank, the arrival time of the
             oldest queued request that still needs a row access (activate
             or precharge); used by FR-FCFS+Cap to detect column-over-row
-            bypassing.
+            bypassing.  Empty during write drains.
+
+    Consumers read only the issued candidate's bank entry of the
+    waiting and ready thread sets, plus — when the issued command is a
+    column access — that bank's oldest row-access arrival and the
+    channel-wide column-thread sets (``SchedulingPolicy.needs_scan``
+    states the rule).  The naive kernel's `_scan_reads`/`_scan_writes`
+    fill every entry and serve as the oracle; the event kernel's
+    `_issue_scan` fills only what that rule lets a consumer read.
 
     The paper phrases the interference receivers as threads with a
     *ready* command (footnote 4).  We default to *waiting* requests
@@ -446,32 +457,25 @@ class MemoryController:
     # per-bank candidate lists are cached between bank-state changes
     # (see _BankCandidateCache) and the STFM scan side-info is only
     # materialized when a command actually issues and the policy reads
-    # it.  DESIGN.md §3.14 carries the equivalence argument; the
-    # differential tests in tests/test_event_kernel.py enforce it.
+    # it — and then only the entries the issued command's consumers
+    # read (`_issue_scan`).  DESIGN.md §3.14 carries the equivalence
+    # argument; the differential tests in tests/test_event_kernel.py and
+    # tests/test_issue_scan.py enforce it.
 
     def _schedule_channel_fast(self, channel: Channel, now: int) -> None:
         queues = self.queues.channels[channel.index]
-        if self._update_drain_mode(channel.index, queues):
+        draining = self._update_drain_mode(channel.index, queues)
+        if draining:
             per_bank = self._write_candidates(channel, queues, now)
-            if not per_bank:
-                return
-            candidate = self.policy.select(channel.index, per_bank, now)
-            if candidate is None:
-                return
-            if self.policy.needs_scan:
-                scan = self._write_scan_info(channel.index, queues)
-            else:
-                scan = ScanInfo(channel.index)
-            self._issue(channel, candidate, scan, now)
-            return
-        per_bank = self._fast_per_bank(channel, queues, now)
+        else:
+            per_bank = self._fast_per_bank(channel, queues, now)
         if not per_bank:
             return
         candidate = self.policy.select(channel.index, per_bank, now)
         if candidate is None:
             return
         if self.policy.needs_scan:
-            scan = self._read_scan_info(channel, queues, per_bank)
+            scan = self._issue_scan(channel, queues, candidate, per_bank, draining)
         else:
             scan = ScanInfo(channel.index)
         self._issue(channel, candidate, scan, now)
@@ -560,7 +564,7 @@ class MemoryController:
         Bank classification and readiness are inlined (the bank state
         machine's `next_command_for`/`is_ready` composition collapses to
         three branches for a known-write request); the scan side-info is
-        deferred to `_write_scan_info` at issue time.
+        deferred to `_issue_scan` at issue time.
         """
         per_bank: dict[int, list[CommandCandidate]] = {}
         banks = channel.banks
@@ -601,64 +605,78 @@ class MemoryController:
                 lst.append(candidate)
         return per_bank
 
-    def _write_scan_info(self, channel_index: int, queues) -> ScanInfo:
-        """Materialize the scan side-info `_scan_writes` would have built
-        (only called at issue time for policies with ``needs_scan``)."""
-        scan = ScanInfo(channel_index)
-        for bank_index, bank_queue in enumerate(queues.bank_queues):
-            if not bank_queue:
-                continue
-            threads = {r.thread_id for r in bank_queue}
-            scan.waiting_threads_by_bank[bank_index] = threads
-            scan.waiting_column_threads.update(threads)
-            # During drains, queued reads stand in for ready reads in
-            # both accounting bases (the issuing bank was free).
-            scan.ready_threads_by_bank[bank_index] = set(threads)
-            scan.ready_column_threads.update(threads)
-        return scan
-
-    def _read_scan_info(
+    def _issue_scan(
         self,
         channel: Channel,
         queues,
+        candidate: CommandCandidate,
         per_bank: dict[int, list[CommandCandidate]],
+        draining: bool,
     ) -> ScanInfo:
-        """Materialize the scan side-info `_scan_reads` would have built.
+        """The part of `_scan_reads`/`_scan_writes`'s ScanInfo that the
+        issued ``candidate``'s consumers read (see ScanInfo).
 
-        Called at issue time, before any state mutates, so the live
-        queues and open rows are exactly what the naive scan saw; the
-        ready sets derive from the (cache-validated) candidates.
+        Called at issue time, before `_issue` mutates any state, so the
+        live queues and open rows are exactly what the naive scan saw.
+        Only the issued bank's thread sets are filled, plus its oldest
+        row-access arrival and the channel-wide column-thread sets when
+        the command is a column access; the ready sets only for
+        policies that declare ``needs_ready_sets``.
         """
         scan = ScanInfo(channel.index)
-        banks = channel.banks
-        for bank_index, queue in enumerate(queues.bank_queues):
-            if not queue:
-                continue
-            open_row = banks[bank_index].open_row
-            waiting_threads: set[int] = set()
-            oldest_row_access: "int | None" = None
-            for request in queue:
-                waiting_threads.add(request.thread_id)
-                if open_row is not None and request.row == open_row:
-                    scan.waiting_column_threads.add(request.thread_id)
-                elif (
-                    oldest_row_access is None
-                    or request.arrival < oldest_row_access
-                ):
-                    oldest_row_access = request.arrival
-            candidates = per_bank.get(bank_index)
-            if candidates:
-                scan.ready_threads_by_bank[bank_index] = {
-                    c.thread_id for c in candidates
+        bank_index = candidate.bank_index
+        queue = queues.bank_queues[bank_index]
+        is_column = candidate.is_column
+        ready = self.policy.needs_ready_sets
+        if draining:
+            # Queued reads stand in for ready reads in both accounting
+            # bases (the issuing bank was free); no oldest row access.
+            if queue:
+                threads = {r.thread_id for r in queue}
+                scan.waiting_threads_by_bank[bank_index] = threads
+                if ready:
+                    scan.ready_threads_by_bank[bank_index] = set(threads)
+            if is_column:
+                threads = {
+                    r.thread_id for bank_queue in queues.bank_queues
+                    for r in bank_queue
                 }
-                scan.ready_column_threads.update(
-                    c.thread_id
-                    for c in candidates
-                    if c.is_column and c.channel_ready
-                )
-            scan.waiting_threads_by_bank[bank_index] = waiting_threads
-            if oldest_row_access is not None:
-                scan.oldest_row_access_arrival[bank_index] = oldest_row_access
+                scan.waiting_column_threads = threads
+                if ready:
+                    scan.ready_column_threads = set(threads)
+            return scan
+        # Read mode: the candidate came from this bank's (non-empty)
+        # queue.  A row access is a request not hitting the open row.
+        open_row = channel.banks[bank_index].open_row
+        scan.waiting_threads_by_bank[bank_index] = {r.thread_id for r in queue}
+        if ready:
+            scan.ready_threads_by_bank[bank_index] = {
+                c.thread_id for c in per_bank[bank_index]
+            }
+        if not is_column:
+            return scan
+        oldest_row_access: "int | None" = None
+        for request in queue:
+            if request.row != open_row and (
+                oldest_row_access is None or request.arrival < oldest_row_access
+            ):
+                oldest_row_access = request.arrival
+        if oldest_row_access is not None:
+            scan.oldest_row_access_arrival[bank_index] = oldest_row_access
+        columns = scan.waiting_column_threads
+        for bank, bank_queue in zip(channel.banks, queues.bank_queues):
+            row = bank.open_row
+            if bank_queue and row is not None:
+                for request in bank_queue:
+                    if request.row == row:
+                        columns.add(request.thread_id)
+        if ready:
+            scan.ready_column_threads = {
+                c.thread_id
+                for candidates in per_bank.values()
+                for c in candidates
+                if c.is_column and c.channel_ready
+            }
         return scan
 
     # -- inert-window analysis (event kernel) --------------------------------

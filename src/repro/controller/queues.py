@@ -75,8 +75,9 @@ class RequestQueues:
         self._waiting = [[0] * total_banks for _ in range(num_threads)]
         self._waiting_banks = [0] * num_threads
         # Total queued reads per thread (any channel), for the "has at
-        # least one ready request" test of STFM's unfairness computation.
-        self._queued_reads = [0] * num_threads
+        # least one ready request" test of STFM's unfairness computation
+        # (read in place by STFM's per-cycle decision; never rebound).
+        self.queued_read_counts = [0] * num_threads
 
     def global_bank(self, channel: int, bank: int) -> int:
         return channel * self.num_banks + bank
@@ -95,7 +96,7 @@ class RequestQueues:
         if counts[gbank] == 0:
             self._waiting_banks[thread] += 1
         counts[gbank] += 1
-        self._queued_reads[thread] += 1
+        self.queued_read_counts[thread] += 1
         return True
 
     def enqueue_write(self, request: MemoryRequest) -> bool:
@@ -118,7 +119,7 @@ class RequestQueues:
         counts[gbank] -= 1
         if counts[gbank] == 0:
             self._waiting_banks[thread] -= 1
-        self._queued_reads[thread] -= 1
+        self.queued_read_counts[thread] -= 1
 
     def remove_write(self, request: MemoryRequest) -> None:
         self.channels[request.coords.channel].write_queue.remove(request)
@@ -128,11 +129,11 @@ class RequestQueues:
         return self._waiting_banks[thread_id]
 
     def queued_reads(self, thread_id: int) -> int:
-        return self._queued_reads[thread_id]
+        return self.queued_read_counts[thread_id]
 
     def threads_with_reads(self) -> list[int]:
         """Threads that currently have at least one queued read."""
-        return [t for t in range(self.num_threads) if self._queued_reads[t]]
+        return [t for t in range(self.num_threads) if self.queued_read_counts[t]]
 
     def total_reads(self) -> int:
         return sum(queues.read_count for queues in self.channels)

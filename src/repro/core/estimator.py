@@ -22,6 +22,7 @@ estimator updates every thread's extra-stall-time estimate:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.registers import StfmRegisters
@@ -30,6 +31,16 @@ from repro.dram.bank import RowBufferOutcome
 if TYPE_CHECKING:
     from repro.controller.controller import MemoryController, ScanInfo
     from repro.dram.commands import CommandCandidate
+
+
+def check_estimator_params(gamma: float, basis: str) -> None:
+    """Validate the estimator's arguments (finite positive ``gamma``,
+    a known ``basis``); shared with :class:`repro.core.stfm.StfmPolicy`,
+    which builds its estimator only when bound to a controller."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a finite positive number, got {gamma!r}")
+    if basis not in ("waiting", "ready"):
+        raise ValueError("basis must be 'waiting' or 'ready'")
 
 
 class InterferenceEstimator:
@@ -56,10 +67,7 @@ class InterferenceEstimator:
         gamma: float = 1.0,
         basis: str = "waiting",
     ) -> None:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if basis not in ("waiting", "ready"):
-            raise ValueError("basis must be 'waiting' or 'ready'")
+        check_estimator_params(gamma, basis)
         self.registers = registers
         self.controller = controller
         self.gamma = gamma

@@ -34,7 +34,7 @@ trace budgets (documented in DESIGN.md §3.17):
 
 from __future__ import annotations
 
-from repro.core.registers import SLOWDOWN_CAP
+from repro.core.registers import SLOWDOWN_CAP, check_alpha, check_weight
 from repro.dram.commands import CommandCandidate
 from repro.schedulers.base import SchedulingPolicy
 
@@ -129,16 +129,15 @@ class MiseStfmPolicy(SchedulingPolicy):
                 tolerates less slowdown (STFM's Section 3.3 semantics).
         """
         super().__init__()
-        if alpha < 1.0:
-            raise ValueError("alpha below 1.0 is meaningless (Smax >= Smin)")
+        check_alpha(alpha)
         if epoch_length < 1:
             raise ValueError("epoch_length must be at least 1")
         if weights is None:
             weights = [1.0] * num_threads
         if len(weights) != num_threads:
             raise ValueError("need one weight per thread")
-        if any(weight < 0 for weight in weights):
-            raise ValueError("weights must be non-negative")
+        for weight in weights:
+            check_weight(weight)
         self.num_threads = num_threads
         self.alpha = alpha
         self.epoch_length = epoch_length
@@ -155,14 +154,10 @@ class MiseStfmPolicy(SchedulingPolicy):
 
     # -- system-software interface (STFM Section 3.3) ---------------------
     def set_alpha(self, alpha: float) -> None:
-        if alpha < 1.0:
-            raise ValueError("alpha below 1.0 is meaningless (Smax >= Smin)")
-        self.alpha = alpha
+        self.alpha = check_alpha(alpha)
 
     def set_thread_weight(self, thread_id: int, weight: float) -> None:
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        self.weights[thread_id] = weight
+        self.weights[thread_id] = check_weight(weight)
 
     # -- per-cycle timer ---------------------------------------------------
     def begin_cycle(self, now: int) -> None:

@@ -21,12 +21,64 @@ are read through them rather than duplicated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 #: Saturation value for the slowdown estimate.  The hardware stores
 #: slowdowns in 8-bit fixed point (Table 1); we saturate rather than wrap.
 SLOWDOWN_CAP = 128.0
+
+
+def estimate_slowdown(
+    shared: int, interference: float, weight: "float | None" = None
+) -> float:
+    """Memory slowdown ``S = Tshared / (Tshared - Tinterference)``.
+
+    The single home of the formula: the register file, STFM's per-cycle
+    decision and its fast-forward replay all evaluate it here, so the
+    two kernels cannot drift apart in float rounding.  ``Talone`` is
+    estimated as ``Tshared - Tinterference`` (Section 3.2.2).  Saturates
+    at :data:`SLOWDOWN_CAP`; a thread with no stall time yet has
+    slowdown 1 (it cannot have been slowed).  Negative interference
+    (constructive sharing, footnote 10) can make the slowdown dip
+    below 1.
+
+    With a ``weight``, returns the weight-scaled slowdown
+    ``S' = 1 + (S - 1) * Weight`` instead: threads with higher weights
+    are interpreted as more slowed down and thus prioritized earlier
+    (Section 3.3).
+    """
+    if shared <= 0:
+        raw = 1.0
+    else:
+        alone = shared - interference
+        raw = SLOWDOWN_CAP if alone <= shared / SLOWDOWN_CAP else shared / alone
+    if weight is None:
+        return raw
+    return 1.0 + (raw - 1.0) * weight
+
+
+def check_alpha(alpha: float) -> float:
+    """Validate an unfairness threshold: finite and at least 1.
+
+    ``alpha`` below 1 is meaningless (``Smax >= Smin``), and a NaN would
+    silently disable fairness, since no unfairness compares above it.
+    """
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError(
+            f"alpha must be a finite number >= 1.0 (Smax >= Smin), got {alpha!r}"
+        )
+    return alpha
+
+
+def check_weight(weight: float) -> float:
+    """Validate a thread weight: finite and non-negative."""
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(
+            f"weights must be finite and non-negative, got {weight!r}"
+        )
+    return weight
 
 
 @dataclass
@@ -66,8 +118,17 @@ class StfmRegisters:
             weights = [1.0] * num_threads
         if len(weights) != num_threads:
             raise ValueError("need one weight per thread")
-        if any(weight < 0 for weight in weights):
-            raise ValueError("weights must be non-negative")
+        for weight in weights:
+            check_weight(weight)
+        if (
+            isinstance(interval_length, bool)
+            or not isinstance(interval_length, int)
+            or interval_length < 1
+        ):
+            raise ValueError(
+                "interval_length must be a positive integer, "
+                f"got {interval_length!r}"
+            )
         self.num_threads = num_threads
         self.interval_length = interval_length
         self.threads = [ThreadRegisters(weight=w) for w in weights]
@@ -88,11 +149,15 @@ class StfmRegisters:
         self.interval_counter += cycles
         if self.interval_counter < self.interval_length:
             return False
+        self.reset_interval(stall_counters)
+        return True
+
+    def reset_interval(self, stall_counters: list[int]) -> None:
+        """Start a new interval: reset every thread's registers."""
         self.interval_counter = 0
         self.resets += 1
         for thread, stalls in zip(self.threads, stall_counters):
             thread.reset(stalls)
-        return True
 
     def context_switch(self, thread_id: int, stall_counter: int) -> None:
         """Reset one hardware thread's registers at a context switch.
@@ -106,39 +171,28 @@ class StfmRegisters:
 
     def set_weight(self, thread_id: int, weight: float) -> None:
         """System-software update of a thread's weight (Section 3.3)."""
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        self.threads[thread_id].weight = weight
+        self.threads[thread_id].weight = check_weight(weight)
 
     def tshared(self, thread_id: int, stall_counter: int) -> int:
         """``Tshared``: stall cycles accumulated in the current interval."""
         return stall_counter - self.threads[thread_id].tshared_offset
 
     def slowdown(self, thread_id: int, stall_counter: int) -> float:
-        """Raw memory slowdown ``S = Tshared / (Tshared - Tinterference)``.
-
-        ``Talone`` is estimated as ``Tshared - Tinterference``
-        (Section 3.2.2).  Saturates at :data:`SLOWDOWN_CAP`; a thread with
-        no stall time yet has slowdown 1 (it cannot have been slowed).
-        Negative interference (constructive sharing, footnote 10) can make
-        the slowdown dip below 1.
-        """
-        shared = self.tshared(thread_id, stall_counter)
-        if shared <= 0:
-            return 1.0
-        alone = shared - self.threads[thread_id].t_interference
-        if alone <= shared / SLOWDOWN_CAP:
-            return SLOWDOWN_CAP
-        return shared / alone
+        """Raw memory slowdown of a thread (see :func:`estimate_slowdown`)."""
+        return estimate_slowdown(
+            self.tshared(thread_id, stall_counter),
+            self.threads[thread_id].t_interference,
+        )
 
     def weighted_slowdown(self, thread_id: int, stall_counter: int) -> float:
-        """Weight-scaled slowdown ``S' = 1 + (S - 1) * Weight``.
-
-        Threads with higher weights are interpreted as more slowed down
-        and thus prioritized earlier (Section 3.3).
-        """
-        raw = self.slowdown(thread_id, stall_counter)
-        return 1.0 + (raw - 1.0) * self.threads[thread_id].weight
+        """Weight-scaled slowdown of a thread (see
+        :func:`estimate_slowdown`)."""
+        thread = self.threads[thread_id]
+        return estimate_slowdown(
+            self.tshared(thread_id, stall_counter),
+            thread.t_interference,
+            thread.weight,
+        )
 
     def add_interference(self, thread_id: int, cycles: float) -> None:
         self.threads[thread_id].t_interference += cycles

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.estimator import InterferenceEstimator
-from repro.core.registers import StfmRegisters
+from repro.core.estimator import InterferenceEstimator, check_estimator_params
+from repro.core.registers import (
+    StfmRegisters,
+    check_alpha,
+    estimate_slowdown,
+)
 from repro.dram.commands import CommandCandidate
 from repro.schedulers.base import SchedulingPolicy
 
@@ -61,17 +65,22 @@ class StfmPolicy(SchedulingPolicy):
                 :class:`repro.core.estimator.InterferenceEstimator`.
         """
         super().__init__()
-        if alpha < 1.0:
-            raise ValueError("alpha below 1.0 is meaningless (Smax >= Smin)")
+        check_estimator_params(gamma, interference_basis)
         self.num_threads = num_threads
-        self.alpha = alpha
+        self.alpha = check_alpha(alpha)
         self.gamma = gamma
         self.interference_basis = interference_basis
+        # Only the literal ready basis reads the scan's ready sets.
+        self.needs_ready_sets = interference_basis == "ready"
         self.registers = StfmRegisters(
             num_threads, interval_length=interval_length, weights=weights
         )
         self.estimator: InterferenceEstimator | None = None
         self._tshared_source: Callable[[int], int] = lambda thread_id: 0
+        # Bound in bind(): the controller's per-thread queued-read
+        # counts (read in place each cycle) and its DRAM cycle length.
+        self._queued_reads: list[int] = []
+        self._dram_cycle = 0
         # Decision state recomputed each DRAM cycle.
         self.fairness_mode = False
         self.max_slowdown_thread: int | None = None
@@ -82,6 +91,8 @@ class StfmPolicy(SchedulingPolicy):
 
     def bind(self, controller) -> None:
         super().bind(controller)
+        self._queued_reads = controller.queues.queued_read_counts
+        self._dram_cycle = controller.timing.dram_cycle
         self.estimator = InterferenceEstimator(
             self.registers,
             controller,
@@ -100,9 +111,7 @@ class StfmPolicy(SchedulingPolicy):
         A very large value effectively disables hardware-enforced
         fairness (the controller then always applies FR-FCFS).
         """
-        if alpha < 1.0:
-            raise ValueError("alpha below 1.0 is meaningless (Smax >= Smin)")
-        self.alpha = alpha
+        self.alpha = check_alpha(alpha)
 
     def set_thread_weight(self, thread_id: int, weight: float) -> None:
         """Convey a new thread weight from the system software."""
@@ -116,13 +125,8 @@ class StfmPolicy(SchedulingPolicy):
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
-        assert self.controller is not None
-        self.total_cycles += 1
-        counters = [self._tshared_source(t) for t in range(self.num_threads)]
-        self.registers.advance_interval(
-            self.controller.timing.dram_cycle, counters
-        )
-        self._decide(counters)
+        source = self._tshared_source
+        self._cycle([source(t) for t in range(self.num_threads)])
 
     def fast_forward(self, start, ticks, stall_slopes) -> None:
         """Inert-window replay: run the per-cycle decision ``ticks`` times.
@@ -136,8 +140,7 @@ class StfmPolicy(SchedulingPolicy):
         replay costs O(threads) per cycle instead of the full
         scan-and-schedule tick.
         """
-        assert self.controller is not None
-        dram_cycle = self.controller.timing.dram_cycle
+        dram_cycle = self._dram_cycle
         threads = range(self.num_threads)
         bases = [self._tshared_source(t) for t in threads]
         counters = list(bases)
@@ -147,32 +150,53 @@ class StfmPolicy(SchedulingPolicy):
                 for t in threads:
                     if stall_slopes[t]:
                         counters[t] = bases[t] + elapsed
-            self.total_cycles += 1
-            self.registers.advance_interval(dram_cycle, counters)
-            self._decide(counters)
+            self._cycle(counters)
 
-    def _decide(self, counters: list[int]) -> None:
-        """The fairness-mode decision for one DRAM cycle.
+    def _cycle(self, counters: list[int]) -> None:
+        """One DRAM cycle: advance the reset interval, then decide.
 
         ``counters`` are the threads' cumulative stall counters as of
         this cycle (live during normal ticks, reconstructed during
-        fast-forward replay).
+        fast-forward replay).  The decision is one pass over the threads
+        with queued reads, reading the register fields in place.  Ties
+        on the maximum slowdown go to the larger thread id.
         """
-        active = self.controller.queues.threads_with_reads()
-        if len(active) < 2:
+        self.total_cycles += 1
+        registers = self.registers
+        registers.interval_counter += self._dram_cycle
+        if registers.interval_counter >= registers.interval_length:
+            registers.reset_interval(counters)
+        queued = self._queued_reads
+        threads = registers.threads
+        active = 0
+        s_max = s_min = 0.0
+        t_max = None
+        for t in range(self.num_threads):
+            if not queued[t]:
+                continue
+            thread = threads[t]
+            s = estimate_slowdown(
+                counters[t] - thread.tshared_offset,
+                thread.t_interference,
+                thread.weight,
+            )
+            if not active:
+                s_max = s_min = s
+                t_max = t
+            else:
+                if s >= s_max:
+                    s_max = s
+                    t_max = t
+                if s < s_min:
+                    s_min = s
+            active += 1
+        self.max_slowdown_thread = t_max
+        if active < 2:
             self.fairness_mode = False
-            self.max_slowdown_thread = active[0] if active else None
             self.last_unfairness = 1.0
             return
-        slowdowns = [
-            (self.registers.weighted_slowdown(t, counters[t]), t)
-            for t in active
-        ]
-        s_max, t_max = max(slowdowns)
-        s_min, _ = min(slowdowns)
         self.last_unfairness = s_max / max(s_min, 1e-9)
         self.fairness_mode = self.last_unfairness > self.alpha
-        self.max_slowdown_thread = t_max
         if self.fairness_mode:
             self.fairness_cycles += 1
 

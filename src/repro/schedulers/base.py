@@ -38,7 +38,20 @@ class SchedulingPolicy:
     #: ignore the scan (or read only ``scan.channel``) override to False
     #: to skip a per-issue queue walk.  The naive kernel always builds
     #: the full ScanInfo, so a wrong True costs speed, never correctness.
+    #:
+    #: A policy that does read the scan must read only what the event
+    #: kernel fills in at issue time: the issued bank's
+    #: (``candidate.bank_index``) waiting and ready threads, and — only
+    #: when the issued command is a column access — that bank's oldest
+    #: row-access arrival and the channel-wide column-thread sets.
+    #: Every other entry is left empty there.
     needs_scan = True
+
+    #: Whether :meth:`on_command_issued` reads the scan's *ready* sets
+    #: (``ready_threads_by_bank``, ``ready_column_threads``).  The event
+    #: kernel builds them only for policies that say so; the default is
+    #: the conservative True, as for :attr:`needs_scan`.
+    needs_ready_sets = True
 
     #: Whether :meth:`select` is observationally pure — calling it on a
     #: frozen candidate set any number of times (including zero) leaves

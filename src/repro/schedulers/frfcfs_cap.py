@@ -22,6 +22,7 @@ class FrFcfsCapPolicy(SchedulingPolicy):
     """FR-FCFS with a per-bank column-bypass cap (default 4, Section 6.3)."""
 
     name = "FR-FCFS+Cap"
+    needs_ready_sets = False  # reads only the oldest row-access arrival
 
     def __init__(self, cap: int = 4) -> None:
         super().__init__()

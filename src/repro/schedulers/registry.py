@@ -3,6 +3,7 @@ literature's extension zoo (PAR-BS, BLISS, MISE-STFM, STAGED)."""
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from repro.schedulers.base import SchedulingPolicy
@@ -15,66 +16,85 @@ from repro.schedulers.parbs import ParBsPolicy
 from repro.schedulers.staged import StagedPolicy
 
 
-def _make_frfcfs(num_threads: int, **kwargs) -> SchedulingPolicy:
+# Each factory names the options it reads as keyword parameters, so
+# make_policy can reject the rest (a misspelt option would otherwise run
+# with the default while still changing the job's cache digest).
+
+
+def _make_frfcfs(num_threads: int) -> SchedulingPolicy:
     return FrFcfsPolicy()
 
 
-def _make_fcfs(num_threads: int, **kwargs) -> SchedulingPolicy:
+def _make_fcfs(num_threads: int) -> SchedulingPolicy:
     return FcfsPolicy()
 
 
-def _make_frfcfs_cap(num_threads: int, **kwargs) -> SchedulingPolicy:
-    return FrFcfsCapPolicy(cap=kwargs.get("cap", 4))
+def _make_frfcfs_cap(num_threads: int, cap: int = 4) -> SchedulingPolicy:
+    return FrFcfsCapPolicy(cap=cap)
 
 
-def _make_nfq(num_threads: int, **kwargs) -> SchedulingPolicy:
-    return NfqPolicy(num_threads, shares=kwargs.get("shares"))
+def _make_nfq(num_threads: int, shares=None) -> SchedulingPolicy:
+    return NfqPolicy(num_threads, shares=shares)
 
 
-def _make_parbs(num_threads: int, **kwargs) -> SchedulingPolicy:
-    return ParBsPolicy(num_threads, marking_cap=kwargs.get("marking_cap", 5))
+def _make_parbs(num_threads: int, marking_cap: int = 5) -> SchedulingPolicy:
+    return ParBsPolicy(num_threads, marking_cap=marking_cap)
 
 
-def _make_stfm(num_threads: int, **kwargs) -> SchedulingPolicy:
+def _make_stfm(
+    num_threads: int,
+    alpha: float = 1.10,
+    gamma: float = 1.0,
+    interval_length: int = 1 << 24,
+    weights=None,
+    interference_basis: str = "waiting",
+) -> SchedulingPolicy:
     from repro.core.stfm import StfmPolicy
 
     return StfmPolicy(
         num_threads,
-        alpha=kwargs.get("alpha", 1.10),
-        gamma=kwargs.get("gamma", 1.0),
-        interval_length=kwargs.get("interval_length", 1 << 24),
-        weights=kwargs.get("weights"),
-        interference_basis=kwargs.get("interference_basis", "waiting"),
+        alpha=alpha,
+        gamma=gamma,
+        interval_length=interval_length,
+        weights=weights,
+        interference_basis=interference_basis,
     )
 
 
-def _make_bliss(num_threads: int, **kwargs) -> SchedulingPolicy:
+def _make_bliss(
+    num_threads: int, threshold: int = 4, clearing_interval: int = 10_000
+) -> SchedulingPolicy:
     return BlissPolicy(
-        num_threads,
-        threshold=kwargs.get("threshold", 4),
-        clearing_interval=kwargs.get("clearing_interval", 10_000),
+        num_threads, threshold=threshold, clearing_interval=clearing_interval
     )
 
 
-def _make_mise_stfm(num_threads: int, **kwargs) -> SchedulingPolicy:
+def _make_mise_stfm(
+    num_threads: int,
+    alpha: float = 1.10,
+    epoch_length: int = 2_000,
+    weights=None,
+) -> SchedulingPolicy:
     from repro.core.mise import MiseStfmPolicy
 
     return MiseStfmPolicy(
-        num_threads,
-        alpha=kwargs.get("alpha", 1.10),
-        epoch_length=kwargs.get("epoch_length", 2_000),
-        weights=kwargs.get("weights"),
+        num_threads, alpha=alpha, epoch_length=epoch_length, weights=weights
     )
 
 
-def _make_staged(num_threads: int, **kwargs) -> SchedulingPolicy:
-    streaming = kwargs.get("streaming_threads")
+def _make_staged(
+    num_threads: int,
+    streaming_threads=None,
+    epoch_length: int = 2_000,
+    spill_factor: float = 2.0,
+    min_epoch_requests: int = 32,
+) -> SchedulingPolicy:
     return StagedPolicy(
         num_threads,
-        streaming_threads=streaming,
-        epoch_length=kwargs.get("epoch_length", 2_000),
-        spill_factor=kwargs.get("spill_factor", 2.0),
-        min_epoch_requests=kwargs.get("min_epoch_requests", 32),
+        streaming_threads=streaming_threads,
+        epoch_length=epoch_length,
+        spill_factor=spill_factor,
+        min_epoch_requests=min_epoch_requests,
     )
 
 
@@ -123,12 +143,17 @@ def make_policy(name: str, num_threads: int, **kwargs) -> SchedulingPolicy:
         num_threads: Threads sharing the memory system (needed by the
             thread-aware policies).
         **kwargs: Policy-specific options — ``cap`` for FR-FCFS+Cap;
-            ``shares`` for NFQ; ``alpha``, ``gamma``, ``interval_length``
-            and ``weights`` for STFM; ``marking_cap`` for PAR-BS;
-            ``threshold`` and ``clearing_interval`` for BLISS; ``alpha``,
-            ``epoch_length`` and ``weights`` for MISE-STFM;
-            ``streaming_threads``, ``epoch_length``, ``spill_factor``
-            and ``min_epoch_requests`` for STAGED.
+            ``shares`` for NFQ; ``alpha``, ``gamma``, ``interval_length``,
+            ``weights`` and ``interference_basis`` for STFM;
+            ``marking_cap`` for PAR-BS; ``threshold`` and
+            ``clearing_interval`` for BLISS; ``alpha``, ``epoch_length``
+            and ``weights`` for MISE-STFM; ``streaming_threads``,
+            ``epoch_length``, ``spill_factor`` and ``min_epoch_requests``
+            for STAGED.
+
+    Raises:
+        ValueError: for an unknown policy, an option the policy does not
+            take, or an option value the policy rejects.
     """
     try:
         factory = _FACTORIES[name.lower()]
@@ -137,4 +162,11 @@ def make_policy(name: str, num_threads: int, **kwargs) -> SchedulingPolicy:
             f"unknown policy {name!r}; available: "
             f"{', '.join(PAPER_ORDER + EXTENSION_ORDER)}"
         ) from None
+    accepted = list(inspect.signature(factory).parameters)[1:]
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"policy {name!r} does not take {', '.join(unknown)}; "
+            f"its options are: {', '.join(accepted) or 'none'}"
+        )
     return factory(num_threads, **kwargs)

@@ -9,8 +9,9 @@ A *job spec* is the JSON body of ``POST /v1/jobs``.  Two kinds exist:
   "policy": "stfm"}`` — run an ad-hoc multiprogrammed workload
   (optional ``policy_kwargs``, ``budget``, ``seed``, ``num_cores``).
 
-Validation is strict — unknown keys, unknown benchmarks/policies and
-out-of-range sizes are rejected with :class:`SpecError` (HTTP 400) at
+Validation is strict — unknown keys, unknown benchmarks/policies,
+policy options the policy does not take or rejects, and out-of-range
+sizes are rejected with :class:`SpecError` (HTTP 400) at
 admission time, so the queue only ever holds runnable work.  A spec's
 canonical JSON form yields a stable :func:`spec_digest`, which the
 server uses to coalesce identical in-flight submissions across clients.
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.experiments import EXPERIMENTS, SCALES
-from repro.schedulers.registry import available_policies
+from repro.schedulers.registry import available_policies, make_policy
 from repro.sim.results import WorkloadResult
 from repro.workloads.spec2006 import benchmark
 
@@ -162,6 +163,13 @@ def _parse_workload(raw: dict) -> JobSpec:
         isinstance(k, str) for k in kwargs
     ):
         raise SpecError("'policy_kwargs' must be an object with string keys")
+    # Build the policy once, as the worker will (one thread per
+    # benchmark), so a misspelt option or an out-of-range or non-finite
+    # value (JSON admits NaN) is a 400 now, not a failed job later.
+    try:
+        make_policy(policy, num_threads=len(names), **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"'policy_kwargs' rejected by {policy}: {exc}") from None
     budget = 20_000
     if raw.get("budget") is not None:
         budget = _require_int(raw, "budget", 1, MAX_BUDGET)

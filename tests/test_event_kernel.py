@@ -67,6 +67,7 @@ def simulate(
     refresh: bool = True,
     mlp_limits: "list[int] | None" = None,
     write_capacity: int = 32,
+    policy_kwargs: "dict | None" = None,
 ) -> dict:
     """Run one workload under ``kernel`` and fingerprint everything."""
     monkeypatch.setenv(KERNEL_ENV, kernel)
@@ -80,7 +81,9 @@ def simulate(
         build_trace(config, seed, spec, budget, i, len(specs))
         for i, spec in enumerate(specs)
     ]
-    policy = make_policy(policy_name, num_threads=len(specs))
+    policy = make_policy(
+        policy_name, num_threads=len(specs), **(policy_kwargs or {})
+    )
     system = CmpSystem(
         config, traces, policy, budget, mlp_limits=mlp_limits
     )
@@ -118,6 +121,20 @@ def simulate(
     }
     if hasattr(policy, "fairness_rule_fraction"):
         fingerprint["fairness_rule_fraction"] = policy.fairness_rule_fraction
+    if hasattr(policy, "registers"):
+        registers = policy.registers
+        fingerprint["stfm_registers"] = (
+            registers.resets,
+            registers.interval_counter,
+            [
+                (t.tshared_offset, t.t_interference, sorted(t.last_row.items()))
+                for t in registers.threads
+            ],
+            policy.fairness_cycles,
+            policy.total_cycles,
+            policy.max_slowdown_thread,
+            policy.last_unfairness,
+        )
     return fingerprint
 
 
@@ -232,6 +249,69 @@ def test_streaming_agent_mix_bit_identical(monkeypatch, policy_name):
         random_spec(rng, "cpu-1"),
     ]
     assert_identical(monkeypatch, specs, policy_name, budget=3_000)
+
+
+@pytest.mark.parametrize(
+    "policy_kwargs",
+    [
+        # The literal ready basis: the issue-time scan's ready sets.
+        {"interference_basis": "ready"},
+        # A short interval: register resets land in live ticks and
+        # inside replayed inert windows.
+        {"interval_length": 1 << 12},
+        # Non-unit weights, some equal: ties on the weighted maximum
+        # exercise the larger-thread-id tie-break.
+        {"weights": [1.0, 4.0, 4.0, 0.0]},
+        {"interference_basis": "ready", "interval_length": 1 << 12,
+         "weights": [2.0, 0.5, 2.0, 1.0], "gamma": 0.5, "alpha": 1.02},
+    ],
+    ids=["ready-basis", "short-interval", "weights", "combined"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stfm_non_default_paths_bit_identical(monkeypatch, policy_kwargs, seed):
+    """STFM's non-default arguments take code paths the default-built
+    policy never reaches; each must match the naive kernel, registers
+    included."""
+    rng = random.Random(5000 + seed)
+    specs = [random_spec(rng, f"opt-{i}") for i in range(4)]
+    assert_identical(
+        monkeypatch,
+        specs,
+        "stfm",
+        seed=seed,
+        refresh=seed == 1,
+        mlp_limits=[rng.randint(1, 8) for _ in range(4)],
+        policy_kwargs=policy_kwargs,
+    )
+
+
+def test_short_interval_resets_in_live_and_replayed_ticks(monkeypatch):
+    """The short-interval case really does reset inside replayed
+    windows as well as on live ticks (so the differential test above
+    covers both)."""
+    from repro.core.stfm import StfmPolicy
+
+    rng = random.Random(5000)
+    specs = [random_spec(rng, f"opt-{i}") for i in range(4)]
+    resets = {"live": 0, "replayed": 0}
+    original_ff = StfmPolicy.fast_forward
+    original_begin = StfmPolicy.begin_cycle
+
+    def counting(kind, original):
+        def wrapper(self, *args):
+            before = self.registers.resets
+            original(self, *args)
+            resets[kind] += self.registers.resets - before
+        return wrapper
+
+    monkeypatch.setattr(StfmPolicy, "fast_forward", counting("replayed", original_ff))
+    monkeypatch.setattr(StfmPolicy, "begin_cycle", counting("live", original_begin))
+    simulate(
+        monkeypatch, "event", specs, "stfm",
+        policy_kwargs={"interval_length": 1 << 12},
+    )
+    assert resets["live"] > 0
+    assert resets["replayed"] > 0
 
 
 class RecordingSanitizer(ProtocolSanitizer):

@@ -47,6 +47,38 @@ class TestRegistry:
         stfm = make_policy("stfm", num_threads=2, alpha=2.0)
         assert stfm.alpha == 2.0
 
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("stfm", {"alhpa": 3.0}),
+            ("stfm", {"alpha": 2.0, "cap": 4}),
+            ("fr-fcfs", {"alpha": 2.0}),
+            ("fr-fcfs+cap", {"marking_cap": 2}),
+            ("mise-stfm", {"gamma": 0.5}),
+        ],
+    )
+    def test_unread_policy_kwargs_rejected(self, name, kwargs):
+        """A misspelt option would otherwise run with the default while
+        still changing the job's cache digest."""
+        with pytest.raises(ValueError, match="does not take"):
+            make_policy(name, num_threads=2, **kwargs)
+
+    def test_every_option_a_caller_passes_is_accepted(self):
+        options = {
+            "fr-fcfs+cap": {"cap": 2},
+            "nfq": {"shares": [1.0, 2.0]},
+            "par-bs": {"marking_cap": 3},
+            "stfm": {"alpha": 1.2, "gamma": 0.5, "interval_length": 1 << 12,
+                     "weights": [1.0, 2.0], "interference_basis": "ready"},
+            "bliss": {"threshold": 2, "clearing_interval": 500},
+            "mise-stfm": {"alpha": 1.2, "epoch_length": 100,
+                          "weights": [1.0, 2.0]},
+            "staged": {"streaming_threads": [1], "epoch_length": 100,
+                       "spill_factor": 3.0, "min_epoch_requests": 8},
+        }
+        for name in available_policies(include_extensions=True):
+            make_policy(name, num_threads=2, **options.get(name, {}))
+
 
 class TestFcfs:
     def test_strict_arrival_order_beats_row_hits(self):

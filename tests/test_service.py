@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
 
 import pytest
@@ -100,11 +101,57 @@ class TestSpecValidation:
                  "num_cores": 1},
                 "'num_cores'",
             ),
+            # Policy options are checked by building the policy once.
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "stfm", "policy_kwargs": {"alhpa": 3.0}},
+                "does not take alhpa",
+            ),
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "fr-fcfs", "policy_kwargs": {"alpha": 3.0}},
+                "does not take alpha",
+            ),
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "stfm", "policy_kwargs": {"alpha": 0.5}},
+                "alpha",
+            ),
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "stfm", "policy_kwargs": {"interval_length": 0}},
+                "interval_length",
+            ),
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "stfm", "policy_kwargs": {"weights": [1.0]}},
+                "one weight per thread",
+            ),
+            (
+                {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+                 "policy": "stfm", "policy_kwargs": {"alpha": "high"}},
+                "'policy_kwargs' rejected",
+            ),
         ],
     )
     def test_rejects(self, raw, match):
         with pytest.raises(SpecError, match=match):
             parse_spec(raw)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"alpha": "NaN"}, {"gamma": "NaN"}, {"weights": ["NaN", 1.0]},
+         {"alpha": "Infinity"}],
+    )
+    def test_rejects_non_finite_values_from_json(self, kwargs):
+        """Python's json admits NaN and Infinity; a NaN alpha would
+        silently disable fairness (no unfairness compares above it)."""
+        body = json.dumps(
+            {"kind": "workload", "benchmarks": ["mcf", "hmmer"],
+             "policy": "stfm", "policy_kwargs": kwargs}
+        ).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+        with pytest.raises(SpecError, match="finite"):
+            parse_spec(json.loads(body))
 
     def test_digest_stable_across_key_order(self):
         a = parse_spec({"kind": "workload", "benchmarks": ["mcf"],
@@ -402,20 +449,35 @@ class TestServiceHttp:
             finally:
                 conn.close()
 
-    def test_worker_crash_marks_job_failed_not_hung(self, tmp_path):
-        # Validation cannot see policy kwarg *values*, so alpha < 1
-        # detonates inside the worker — the job must turn FAILED.
-        crash = dict(
-            FAST_WORKLOAD, policy="stfm", policy_kwargs={"alpha": 0.5}
-        )
+    def test_worker_crash_marks_job_failed_not_hung(self, tmp_path, monkeypatch):
+        # Admission rejects bad policy options up front, so the crash is
+        # injected into the job itself: the job must turn FAILED.
+        from repro.service import server as server_module
+
+        def execute_or_crash(spec, **kwargs):
+            if spec["seed"] == 13:  # the job's persisted normalized spec
+                raise RuntimeError("simulated worker crash")
+            return real_execute(spec, **kwargs)
+
+        real_execute = server_module.execute_spec
+        monkeypatch.setattr(server_module, "execute_spec", execute_or_crash)
+        crash = dict(FAST_WORKLOAD, seed=13)
         with running_service(tmp_path) as (service, client):
             view = client.submit(crash)
             done = client.wait(view["id"], timeout=60)
             assert done["status"] == "failed"
-            assert done["error"]
+            assert "simulated worker crash" in done["error"]
             # ... and the worker survived to run the next job.
             ok = client.wait(client.submit(FAST_WORKLOAD)["id"], timeout=60)
             assert ok["status"] == "done"
+
+    def test_bad_policy_kwargs_rejected_at_admission(self, tmp_path):
+        bad = dict(FAST_WORKLOAD, policy="stfm", policy_kwargs={"alpha": 0.5})
+        with running_service(tmp_path, workers=0) as (service, client):
+            with pytest.raises(ServiceError) as exc:
+                client.submit(bad)
+            assert exc.value.status == 400
+            assert "alpha" in str(exc.value)
 
     def test_unknown_ids_and_endpoints_return_404(self, tmp_path):
         with running_service(tmp_path, workers=0) as (service, client):

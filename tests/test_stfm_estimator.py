@@ -160,3 +160,8 @@ class TestValidation:
         harness, registers, _ = make_setup()
         with pytest.raises(ValueError):
             InterferenceEstimator(registers, harness.controller, gamma=0.0)
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                InterferenceEstimator(
+                    registers, harness.controller, gamma=gamma
+                )

@@ -1,8 +1,12 @@
 """Tests for the STFM scheduling policy (Sections 3.2.1 and 3.3)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.stfm import StfmPolicy
+from repro.schedulers import make_policy
 from tests.conftest import ControllerHarness
 
 
@@ -16,6 +20,43 @@ class TestConstruction:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             StfmPolicy(2, alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": math.nan},
+            {"alpha": math.inf},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
+            {"gamma": 0.0},
+            {"weights": [1.0, math.nan]},
+            {"weights": [math.inf, 1.0]},
+            {"interval_length": 0},
+            {"interval_length": -4},
+            {"interval_length": 4096.5},
+            {"interference_basis": "literal"},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_finite_and_out_of_range(self, kwargs):
+        # Rejected at construction, before any controller binds it.
+        with pytest.raises(ValueError):
+            StfmPolicy(2, **kwargs)
+        with pytest.raises(ValueError):
+            make_policy("stfm", 2, **kwargs)
+
+    def test_system_software_updates_validated(self):
+        policy = StfmPolicy(2)
+        with pytest.raises(ValueError):
+            policy.set_alpha(math.nan)
+        with pytest.raises(ValueError):
+            policy.set_thread_weight(0, math.nan)
+        assert policy.alpha == pytest.approx(1.10)
+        assert policy.registers.threads[0].weight == 1.0
+
+    def test_needs_ready_sets_only_for_ready_basis(self):
+        assert not StfmPolicy(2).needs_ready_sets
+        assert StfmPolicy(2, interference_basis="ready").needs_ready_sets
 
     def test_defaults(self):
         policy = StfmPolicy(4)
@@ -75,6 +116,95 @@ class TestModeSelection:
         harness.submit(1, bank=1, row=1)
         harness.tick()
         assert not policy.fairness_mode
+
+
+def reference_decision(policy, counters, queued):
+    """The decision as first written: per-thread method chain, then
+    ``max``/``min`` over ``(slowdown, thread)`` tuples."""
+    active = [t for t in range(policy.num_threads) if queued[t]]
+    if len(active) < 2:
+        return False, (active[0] if active else None), 1.0
+    slowdowns = [
+        (policy.registers.weighted_slowdown(t, counters[t]), t) for t in active
+    ]
+    s_max, t_max = max(slowdowns)
+    s_min, _ = min(slowdowns)
+    unfairness = s_max / max(s_min, 1e-9)
+    return unfairness > policy.alpha, t_max, unfairness
+
+
+thread_state = st.tuples(
+    st.integers(0, 3),                                   # queued reads
+    st.sampled_from([0, 400, 1000, 1600]),               # stall counter
+    st.sampled_from([0, 400]),                           # Tshared offset
+    st.sampled_from([0.0, 250.0, 500.0, 999.0, -300.0]),  # Tinterference
+    st.sampled_from([0.0, 0.5, 1.0, 4.0]),               # weight
+)
+
+
+class TestDecision:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        threads=st.lists(thread_state, min_size=1, max_size=6),
+        alpha=st.sampled_from([1.0, 1.1, 2.0]),
+    )
+    def test_one_pass_matches_reference(self, threads, alpha):
+        """Same fairness mode, Tmax thread (ties to the larger thread
+        id) and unfairness as the tuple formulation, bit for bit."""
+        harness, policy = make_harness(num_threads=len(threads), alpha=alpha)
+        queued = harness.controller.queues.queued_read_counts
+        counters = []
+        for t, (reads, counter, offset, interference, weight) in enumerate(
+            threads
+        ):
+            queued[t] = reads
+            counters.append(counter)
+            registers = policy.registers.threads[t]
+            registers.tshared_offset = offset
+            registers.t_interference = interference
+            registers.weight = weight
+        expected = reference_decision(policy, counters, queued)
+        policy.set_tshared_source(lambda t: counters[t])
+        policy.begin_cycle(0)
+        assert (
+            policy.fairness_mode,
+            policy.max_slowdown_thread,
+            policy.last_unfairness,
+        ) == expected
+
+    def test_ties_go_to_the_larger_thread_id(self):
+        harness, policy = make_harness(num_threads=3, alpha=1.1)
+        policy.set_tshared_source(lambda t: 1000)
+        for thread in (0, 2):  # equally slowed, both 2x
+            policy.registers.add_interference(thread, 500.0)
+        for thread in range(3):
+            harness.submit(thread, bank=thread, row=1)
+        harness.tick()
+        assert policy.fairness_mode
+        assert policy.max_slowdown_thread == 2
+
+    def test_replay_and_live_ticks_share_the_decision(self):
+        """fast_forward replays the live decision, interval resets
+        included, on reconstructed stall counters."""
+        stalls = [1000, 1000]
+        live_harness, live = make_harness(alpha=1.05, interval_length=100)
+        ff_harness, ff = make_harness(alpha=1.05, interval_length=100)
+        for harness, policy in ((live_harness, live), (ff_harness, ff)):
+            policy.set_tshared_source(lambda t: stalls[t])
+            policy.registers.add_interference(1, 300.0)
+            harness.submit(0, bank=0, row=1)
+            harness.submit(1, bank=1, row=1)
+        base = list(stalls)
+        dram_cycle = live_harness.timing.dram_cycle
+        for tick in range(40):
+            stalls[1] = base[1] + tick * dram_cycle
+            live.begin_cycle(tick * dram_cycle)
+        stalls[1] = base[1]
+        ff.fast_forward(0, 40, [0, 1])
+        assert live.registers.resets == ff.registers.resets > 0
+        assert (live.fairness_cycles, live.max_slowdown_thread,
+                live.last_unfairness) == (
+            ff.fairness_cycles, ff.max_slowdown_thread, ff.last_unfairness)
 
 
 class TestFairnessRulePrioritization:

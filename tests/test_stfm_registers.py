@@ -15,6 +15,16 @@ class TestConstruction:
             StfmRegisters(2, weights=[1.0])
         with pytest.raises(ValueError):
             StfmRegisters(2, weights=[1.0, -1.0])
+        with pytest.raises(ValueError):
+            StfmRegisters(2, weights=[1.0, float("nan")])
+        registers = StfmRegisters(2)
+        with pytest.raises(ValueError):
+            registers.set_weight(0, float("nan"))
+
+    @pytest.mark.parametrize("length", [0, -1, 2.5, float("nan"), True])
+    def test_interval_length_validation(self, length):
+        with pytest.raises(ValueError):
+            StfmRegisters(2, interval_length=length)
 
 
 class TestSlowdown:
