@@ -36,12 +36,12 @@ or ``CmpSystem(..., sanitize=True)``.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 
 from repro.dram.commands import CommandKind
 from repro.dram.timing import DramTiming
+from repro.faults import env_flag
 
 #: Environment toggle the CLI sets; worker processes inherit it.
 SANITIZE_ENV = "STFM_SIM_SANITIZE"
@@ -52,7 +52,7 @@ HISTORY_DEPTH = 16
 
 def sanitize_enabled() -> bool:
     """Whether new systems should attach a sanitizer (env opt-in)."""
-    return os.environ.get(SANITIZE_ENV, "") not in ("", "0")
+    return env_flag(SANITIZE_ENV)
 
 
 @dataclass(frozen=True)

@@ -140,9 +140,10 @@ def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
     from repro.sim.system import CmpSystem
 
     with _with_kernel(kernel):
-        # Construct inside the kernel context: the controller picks its
-        # scan strategy (cached fast path vs eager naive scans) at build
-        # time, and the probe must time the kernel it claims to.
+        # Construct inside the kernel context: the kernel is chosen once
+        # per system, when its controller is built (cached scans and
+        # jumps vs the naive per-cycle loop), and the probe must time
+        # the kernel it claims to.
         config = SystemConfig(num_cores=len(_THROUGHPUT_WORKLOAD))
         runner = ExperimentRunner(config, instruction_budget=budget)
         specs = [resolve_spec(name) for name in _THROUGHPUT_WORKLOAD]

@@ -29,9 +29,10 @@ it: it observes, it never steers.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
+
+from repro.faults import env_flag
 
 #: Lease-table operations that are protocol *transitions* (read-only
 #: accessors like ``active_by_runner`` are not).
@@ -87,8 +88,7 @@ LEASE_SANITIZE_ENV = "STFM_SIM_LEASE_SANITIZE"
 
 def sanitize_enabled() -> bool:
     """True when ``STFM_SIM_LEASE_SANITIZE`` asks for shadow checking."""
-    value = os.environ.get(LEASE_SANITIZE_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no")
+    return env_flag(LEASE_SANITIZE_ENV)
 
 
 @dataclass(frozen=True)

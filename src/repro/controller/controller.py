@@ -167,17 +167,7 @@ class MemoryController:
         write_drain_low: int = 8,
         page_policy: str = "open",
         refresh_enabled: bool = False,
-        fast_path: "bool | None" = None,
     ) -> None:
-        """Create the controller.
-
-        Args:
-            fast_path: Use the event-driven scheduling path (cached
-                candidate scans).  ``None`` (default) defers to the
-                ``STFM_SIM_KERNEL`` environment toggle.  Both paths are
-                bit-identical; the naive path is kept as the
-                differential-testing oracle (DESIGN.md §3.14).
-        """
         if page_policy not in ("open", "closed"):
             raise ValueError("page_policy must be 'open' or 'closed'")
         self.timing = timing
@@ -222,17 +212,17 @@ class MemoryController:
         # Optional DRAM protocol sanitizer (repro.analysis.protocol).
         self.sanitizer = None
 
-        # Event-kernel state.  The caches stay coherent on both paths
-        # (the invalidation hooks in submit/_issue/_refresh are O(1) and
-        # unconditional) so the event-driven run loop may consult
-        # ``channel_quiet_bound`` regardless of the scheduling path.
-        if fast_path is None:
-            # Imported lazily: repro.sim's package __init__ pulls in
-            # modules that import this one.
-            from repro.sim.kernel import event_kernel_enabled
+        # Event-kernel state.  The ``STFM_SIM_KERNEL`` choice is read
+        # once, here: it selects the cached candidate scans and, in
+        # ``CmpSystem.run``, inert-window jumps; the naive path is the
+        # bit-identical differential-testing oracle (DESIGN.md §3.14).
+        # The caches stay coherent on both paths (the invalidation hooks
+        # in submit/_issue/_refresh are O(1) and unconditional).
+        # Imported lazily: repro.sim's package __init__ pulls in modules
+        # that import this one.
+        from repro.sim.kernel import event_kernel_enabled
 
-            fast_path = event_kernel_enabled()
-        self._fast_path = fast_path
+        self._fast_path = event_kernel_enabled()
         self._scan_caches = [
             _BankCandidateCache(mapper.num_banks)
             for _ in range(mapper.num_channels)
@@ -347,16 +337,18 @@ class MemoryController:
         self._issue(channel, candidate, scan, now)
 
     def _update_drain_mode(self, channel_index: int, queues) -> bool:
-        writes = queues.write_count
-        if self._draining[channel_index]:
-            if writes <= self.write_drain_low:
-                self._draining[channel_index] = False
-        else:
-            if writes >= self.write_drain_high or (
-                queues.read_count == 0 and writes > 0
-            ):
-                self._draining[channel_index] = True
-        return self._draining[channel_index]
+        draining = self._drain_next(
+            self._draining[channel_index], queues.read_count, queues.write_count
+        )
+        self._draining[channel_index] = draining
+        return draining
+
+    def _drain_next(self, draining: bool, reads: int, writes: int) -> bool:
+        """One write-drain mode transition: drain from the high watermark
+        (or whenever no reads wait) down to the low watermark."""
+        if draining:
+            return writes > self.write_drain_low
+        return writes >= self.write_drain_high or (reads == 0 and writes > 0)
 
     def _scan_reads(self, channel: Channel, queues, now: int):
         """Build ready read candidates and the STFM scan side-info."""
@@ -680,12 +672,6 @@ class MemoryController:
         return scan
 
     # -- inert-window analysis (event kernel) --------------------------------
-
-    def _drain_next(self, draining: bool, reads: int, writes: int) -> bool:
-        """One `_update_drain_mode` transition with frozen queue counts."""
-        if draining:
-            return writes > self.write_drain_low
-        return writes >= self.write_drain_high or (reads == 0 and writes > 0)
 
     def channel_quiet_bound(self, channel: Channel, now: int, quantum: int) -> int:
         """First tick >= ``now`` at which scheduling this channel could

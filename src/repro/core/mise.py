@@ -224,6 +224,10 @@ class MiseStfmPolicy(SchedulingPolicy):
         raw = self.estimator.slowdown(thread_id)
         return 1.0 + (raw - 1.0) * self.weights[thread_id]
 
+    def slowdown_of(self, thread_id: int) -> float:
+        """Current raw slowdown estimate of a thread (diagnostics)."""
+        return self.estimator.slowdown(thread_id)
+
     # -- prioritization ----------------------------------------------------
     def priority_key(self, candidate: CommandCandidate, now: int):
         """Sampled thread first (the measurement mechanism), then the

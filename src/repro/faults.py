@@ -207,6 +207,18 @@ def parse_faults(spec: str) -> FaultPlan:
 
 # -- process-wide activation -------------------------------------------------
 
+
+def env_flag(name: str) -> bool:
+    """Whether the on/off environment switch ``name`` is on.
+
+    ``""``, ``0``, ``false`` and ``no`` (any case) are off; any other
+    value is on.  The one reader for the ``STFM_SIM_*`` sanitizer
+    switches, so they all agree on what "off" means.
+    """
+    value = os.environ.get(name, "").strip().lower()
+    return value not in ("", "0", "false", "no")
+
+
 #: (env string, parsed plan) — revalidated against the environment on
 #: every lookup so tests and the CLI can flip ``STFM_SIM_FAULTS`` at
 #: any time; counters persist as long as the env string is unchanged.

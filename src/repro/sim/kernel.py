@@ -1,19 +1,24 @@
 """Simulation-kernel selection (event-driven vs. naive per-cycle).
 
-The simulator has two inner-loop implementations that produce
-bit-identical results:
+There is one simulation loop, ``CmpSystem.run``, in two bit-identical
+modes:
 
-* ``event`` (default) — the event-driven kernel: the controller caches
-  per-channel candidate scans between state changes and ``CmpSystem.run``
-  jumps over provably-inert cycle ranges (see DESIGN.md §3.14).
-* ``naive`` — the original tick-every-DRAM-cycle loop with eager
-  candidate scans, kept as a differential-testing oracle.
+* ``event`` (default) — the controller caches per-channel candidate
+  scans between state changes, and the loop jumps over provably-inert
+  cycle ranges, replaying them in closed form (see DESIGN.md §3.14).
+  Every jump is capped by the system's ``max_cycles`` and, when an
+  observer such as the telemetry sampler is attached, by its next
+  sample tick.
+* ``naive`` — the same loop with jumps off and eager candidate scans:
+  one controller decision every DRAM cycle, kept as a
+  differential-testing oracle.
 
-Selection uses the ``STFM_SIM_KERNEL`` environment variable, following
-the same pattern as ``STFM_SIM_SANITIZE`` / ``STFM_SIM_FAULTS``: the
-toggle is inherited by engine worker processes and never perturbs result
-cache keys (results are identical either way, so cross-kernel cache
-sharing is sound by construction).
+Selection uses the ``STFM_SIM_KERNEL`` environment variable, read once
+per system when its memory controller is built, following the same
+pattern as ``STFM_SIM_SANITIZE`` / ``STFM_SIM_FAULTS``: the toggle is
+inherited by engine worker processes and never perturbs result cache
+keys (results are identical either way, so cross-kernel cache sharing is
+sound by construction).
 """
 
 from __future__ import annotations

@@ -63,6 +63,12 @@ class CmpSystem:
             policy=policy,
             read_capacity=config.read_capacity,
             write_capacity=config.write_capacity,
+            # Drain watermarks scale with the write buffer (24/8 at the
+            # default 32): a fixed high mark above a small capacity could
+            # never be reached, and writes would drain only while the
+            # channel had no reads.
+            write_drain_high=max(1, 3 * config.write_capacity // 4),
+            write_drain_low=config.write_capacity // 4,
             page_policy=config.page_policy,
             refresh_enabled=config.refresh_enabled,
         )
@@ -115,57 +121,33 @@ class CmpSystem:
         instead of polling every core's snapshot each quantum."""
         self._finished += 1
 
-    def run(self) -> list[CoreSnapshot]:
+    def run(self, sampler=None) -> list[CoreSnapshot]:
         """Run until every core reaches its instruction budget.
 
         Traces loop by default, so early finishers keep applying memory
         pressure (their statistics are frozen at their own budget
         crossing).  A ``max_cycles`` safety net bounds runaway runs.
 
-        Two kernels produce bit-identical results (DESIGN.md Section
-        3.14): the *naive* kernel ticks every DRAM cycle; the *event*
-        kernel (default) additionally proves windows of ticks inert and
-        jumps over them.  ``STFM_SIM_KERNEL=naive`` selects the former.
-        """
-        from repro.sim.kernel import event_kernel_enabled
+        This is the one simulation loop (DESIGN.md Section 3.14).  Each
+        live tick makes the controller's per-DRAM-cycle decision, then
+        steps every core one quantum.  With jumps on (the *event* kernel,
+        the default), a tick that issued no command is followed by a
+        quiet-horizon analysis: a window of ticks proven inert is
+        replayed in closed form — the policy's per-cycle state via
+        ``fast_forward``, the cores' counters via ``bulk_advance`` /
+        ``advance_compute``, and the write-drain hysteresis via
+        ``fast_forward_drain`` — bit-identical to having ticked.  The
+        *naive* kernel (``STFM_SIM_KERNEL=naive``, fixed when the
+        controller is built) is the same loop with jumps off.
 
-        if event_kernel_enabled():
-            return self._run_event()
-        return self._run_naive()
-
-    def _run_naive(self) -> list[CoreSnapshot]:
-        """Reference kernel: one controller decision every DRAM cycle."""
-        quantum = self.config.timing.dram_cycle
-        controller = self.controller
-        cores = self.cores
-        max_cycles = self.config.max_cycles
-        num_cores = len(cores)
-        now = self.now
-        while now < max_cycles:
-            controller.tick(now)
-            for core in cores:
-                core.step(now, quantum)
-            now += quantum
-            if self._finished >= num_cores:
-                break
-        self.now = now
-        return [core.force_snapshot(now) for core in cores]
-
-    def _run_event(self) -> list[CoreSnapshot]:
-        """Event-driven kernel: skip provably inert DRAM cycles.
-
-        After each live tick the loop asks every component for the first
-        future time it could act — cores via :meth:`Core.quiet_state`,
-        the controller via its in-service completion heap, refresh
-        deadlines, and per-channel readiness bounds.  If that horizon
-        lies beyond the next tick, the skipped window is replayed in
-        closed form: the policy's per-cycle decision via
-        ``fast_forward`` (exact-replay for STFM, collapse-to-one for
-        PAR-BS, no-op for the stateless policies), the cores' stall/idle
-        counters via ``bulk_advance``, and the controller's write-drain
-        hysteresis via ``fast_forward_drain``.  Every replay is
-        bit-identical to having ticked, so both kernels produce the same
-        results (enforced by tests/test_event_kernel.py).
+        Args:
+            sampler: Optional observer with a ``period`` (CPU cycles) and
+                a ``sample(now)`` method, e.g.
+                :class:`~repro.sim.telemetry.TelemetrySampler`.  It is
+                called at the top of the first tick at or after each
+                sample time, and once more after the loop ends.  The next
+                sample tick caps every jump, so samples are the same
+                under both kernels.
         """
         quantum = self.config.timing.dram_cycle
         controller = self.controller
@@ -173,9 +155,15 @@ class CmpSystem:
         cores = self.cores
         max_cycles = self.config.max_cycles
         num_cores = len(cores)
+        jumps = controller._fast_path
         now = self.now
+        next_sample = limit = now if sampler is not None else max_cycles
         states: list[str | None] = [None] * num_cores
         while now < max_cycles:
+            if now >= next_sample:
+                sampler.sample(now)
+                next_sample += sampler.period
+                limit = min(max_cycles, -(-next_sample // quantum) * quantum)
             issued_before = controller.commands_issued
             controller.tick(now)
             for core in cores:
@@ -183,7 +171,7 @@ class CmpSystem:
             now += quantum
             if self._finished >= num_cores:
                 break
-            if controller.commands_issued != issued_before:
+            if not jumps or controller.commands_issued != issued_before:
                 # Issue-gate heuristic: a tick that issued a command is
                 # usually followed by more issue ticks (bursts stream
                 # back-to-back), so the jump analysis would almost
@@ -191,7 +179,7 @@ class CmpSystem:
                 # tick.  Purely a performance gate: which ticks run
                 # live never changes what they compute.
                 continue
-            horizon = self._quiet_horizon(now, quantum, max_cycles, states)
+            horizon = self._quiet_horizon(now, quantum, limit, states)
             if horizon > now:
                 ticks = (horizon - now) // quantum
                 slopes = [1 if s == "stall" else 0 for s in states]
@@ -207,9 +195,11 @@ class CmpSystem:
                 if self._finished >= num_cores:
                     # The last budget crossing can land exactly on the
                     # end of a replayed compute window; stop here like
-                    # the naive loop does, not one live tick later.
+                    # a tick-by-tick run does, not one live tick later.
                     break
         self.now = now
+        if sampler is not None:
+            sampler.sample(now)
         return [core.force_snapshot(now) for core in cores]
 
     def _quiet_horizon(

@@ -2,11 +2,12 @@
 
 A :class:`TelemetrySampler` periodically records per-thread state while
 a :class:`~repro.sim.system.CmpSystem` runs: committed instructions,
-memory stall cycles, and — when the scheduler is STFM — its *estimated*
-slowdowns.  This is how we validate the paper's central mechanism: the
-hardware slowdown estimate (Section 3.2.2) tracking the measured
-slowdown over time, and how phase changes interact with the
-IntervalLength register resets.
+memory stall cycles, and — when the scheduler estimates slowdowns (STFM,
+MISE-STFM) — its *estimated* slowdowns.  This is how we validate the
+paper's central mechanism: the hardware slowdown estimate (Section
+3.2.2) tracking the measured slowdown over time, and how phase changes
+interact with the IntervalLength register resets.  The sampler is an
+observer of ``CmpSystem.run``, so it runs under either kernel.
 """
 
 from __future__ import annotations
@@ -94,30 +95,16 @@ class TelemetrySampler:
     def run(self) -> Telemetry:
         """Run the system to completion, sampling along the way.
 
-        Equivalent to ``system.run()`` but interleaves sampling; returns
-        the recorded telemetry (snapshots are also available on the
-        system/cores as usual).
+        ``system.run(sampler=self)`` under either kernel: the loop calls
+        :meth:`sample` at the first tick at or after each sample time and
+        once at the end.  Returns the recorded telemetry (snapshots are
+        also available on the system/cores as usual).
         """
-        system = self.system
-        quantum = system.config.timing.dram_cycle
-        next_sample = 0
-        max_cycles = system.config.max_cycles
-        while system.now < max_cycles:
-            if system.now >= next_sample:
-                self._sample()
-                next_sample += self.period
-            system.controller.tick(system.now)
-            for core in system.cores:
-                core.step(system.now, quantum)
-            system.now += quantum
-            if all(core.snapshot is not None for core in system.cores):
-                break
-        self._sample()
-        for core in system.cores:
-            core.force_snapshot(system.now)
+        self.system.run(sampler=self)
         return self.telemetry
 
-    def _sample(self) -> None:
+    def sample(self, now: int) -> None:
+        """Record the system's state at the top of tick ``now``."""
         system = self.system
         policy = system.controller.policy
         estimated = None
@@ -129,7 +116,7 @@ class TelemetrySampler:
             fairness_mode = policy.fairness_mode
         self.telemetry.samples.append(
             TelemetrySample(
-                cycle=system.now,
+                cycle=now,
                 instructions=[c.committed_instructions for c in system.cores],
                 stall_cycles=[c.memory_stall_cycles for c in system.cores],
                 estimated_slowdowns=estimated,

@@ -22,6 +22,7 @@ from repro.schedulers import make_policy
 from repro.sim.config import SystemConfig
 from repro.sim.kernel import KERNEL_ENV, kernel_name
 from repro.sim.system import CmpSystem
+from repro.sim.telemetry import TelemetrySampler
 from repro.workloads.spec2006 import BenchmarkSpec
 
 POLICIES = (
@@ -68,14 +69,21 @@ def simulate(
     mlp_limits: "list[int] | None" = None,
     write_capacity: int = 32,
     policy_kwargs: "dict | None" = None,
+    max_cycles: int = SystemConfig.max_cycles,
+    sample_period: "int | None" = None,
 ) -> dict:
-    """Run one workload under ``kernel`` and fingerprint everything."""
+    """Run one workload under ``kernel`` and fingerprint everything.
+
+    With ``sample_period`` the run carries a telemetry sampler, and its
+    samples join the fingerprint.
+    """
     monkeypatch.setenv(KERNEL_ENV, kernel)
     assert kernel_name() == kernel
     config = SystemConfig(
         num_cores=len(specs),
         refresh_enabled=refresh,
         write_capacity=write_capacity,
+        max_cycles=max_cycles,
     )
     traces = [
         build_trace(config, seed, spec, budget, i, len(specs))
@@ -87,7 +95,10 @@ def simulate(
     system = CmpSystem(
         config, traces, policy, budget, mlp_limits=mlp_limits
     )
-    snapshots = system.run()
+    sampler = None
+    if sample_period is not None:
+        sampler = TelemetrySampler(system, period=sample_period)
+    snapshots = system.run(sampler=sampler)
     controller = system.controller
     fingerprint = {
         "snapshots": snapshots,
@@ -135,6 +146,8 @@ def simulate(
             policy.max_slowdown_thread,
             policy.last_unfairness,
         )
+    if sampler is not None:
+        fingerprint["samples"] = sampler.telemetry.samples
     return fingerprint
 
 
@@ -370,3 +383,74 @@ def test_naive_escape_hatch_selects_naive(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "bogus")
     with pytest.raises(ValueError, match="bogus"):
         kernel_name()
+
+
+@pytest.mark.parametrize("policy_name", ["fr-fcfs", "stfm"])
+def test_small_write_buffer_completes(monkeypatch, policy_name):
+    """Regression: with a fixed drain high watermark (24) above an
+    8-entry write buffer, writes drained only while a channel had no
+    reads, so cores blocked on the full buffer never finished.  The
+    watermarks now scale with the capacity."""
+    rng = random.Random(5001)
+    specs = [random_spec(rng, f"opt-{i}") for i in range(4)]
+    max_cycles = 400_000
+    results = [
+        simulate(
+            monkeypatch, kernel, specs, policy_name, seed=1,
+            write_capacity=8, max_cycles=max_cycles,
+        )
+        for kernel in ("event", "naive")
+    ]
+    assert results[0] == results[1]
+    assert results[0]["now"] < max_cycles
+    assert all(snap.instructions >= 2_000 for snap in results[0]["snapshots"])
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+@pytest.mark.parametrize("period", [15, 1_235])
+def test_telemetry_samples_identical(monkeypatch, policy_name, period):
+    """A telemetry sampler caps every jump at its next sample tick, so
+    each sample sees the same state under both kernels — including
+    periods that are not a multiple of the 10-cycle quantum."""
+    rng = random.Random(3000 + POLICIES.index(policy_name))
+    num_cores = rng.choice([2, 4])
+    specs = [random_spec(rng, f"tel-{i}") for i in range(num_cores)]
+    kwargs = dict(
+        refresh=rng.random() < 0.5,
+        mlp_limits=[rng.randint(1, 8) for _ in range(num_cores)],
+        sample_period=period,
+    )
+    event = simulate(monkeypatch, "event", specs, policy_name, **kwargs)
+    naive = simulate(monkeypatch, "naive", specs, policy_name, **kwargs)
+    assert len(event["samples"]) > 2
+    assert event["samples"][-1].cycle == event["now"]
+    assert event == naive
+
+
+def test_kernel_is_chosen_when_the_system_is_built(monkeypatch):
+    """A system built under the naive kernel stays naive when the
+    environment changes before it runs: every DRAM cycle ticks live."""
+    from repro.controller.controller import MemoryController
+
+    rng = random.Random(4)
+    specs = [random_spec(rng, f"once-{i}") for i in range(2)]
+    monkeypatch.setenv(KERNEL_ENV, "naive")
+    config = SystemConfig(num_cores=len(specs))
+    traces = [
+        build_trace(config, 0, spec, 1_000, i, len(specs))
+        for i, spec in enumerate(specs)
+    ]
+    system = CmpSystem(
+        config, traces, make_policy("fr-fcfs", num_threads=2), 1_000
+    )
+    monkeypatch.setenv(KERNEL_ENV, "event")
+    ticks = []
+    original = MemoryController.tick
+
+    def counting(self, now):
+        ticks.append(now)
+        original(self, now)
+
+    monkeypatch.setattr(MemoryController, "tick", counting)
+    system.run()
+    assert ticks == list(range(0, system.now, config.timing.dram_cycle))

@@ -288,3 +288,22 @@ class TestSanitizedSimulations:
         assert [t.slowdown for t in result.threads] == [
             t.slowdown for t in plain.threads
         ]
+
+
+@pytest.mark.parametrize(
+    "value, on",
+    [
+        ("", False), ("0", False), ("false", False), ("FALSE", False),
+        ("no", False), (" No ", False),
+        ("1", True), ("true", True), ("yes", True), ("on", True),
+    ],
+)
+def test_sanitizer_switches_agree(monkeypatch, value, on):
+    """The DRAM and lease sanitizer switches share one reader, so the
+    same value means the same thing for both ("false" is off)."""
+    from repro.cluster import lease_model
+
+    monkeypatch.setenv(SANITIZE_ENV, value)
+    monkeypatch.setenv(lease_model.LEASE_SANITIZE_ENV, value)
+    assert sanitize_enabled() is on
+    assert lease_model.sanitize_enabled() is on

@@ -51,6 +51,14 @@ class TestSampler:
             assert instructions == sorted(instructions)
             assert stalls == sorted(stalls)
 
+    def test_mise_policy_has_estimates(self):
+        system = build_system("mise-stfm")
+        telemetry = TelemetrySampler(system, period=2_000).run()
+        assert all(
+            s.estimated_slowdowns is not None for s in telemetry.samples
+        )
+        assert all(s.fairness_mode is not None for s in telemetry.samples)
+
     def test_non_stfm_policy_has_no_estimates(self):
         system = build_system("fcfs")
         telemetry = TelemetrySampler(system, period=2_000).run()
