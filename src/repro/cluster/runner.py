@@ -19,7 +19,7 @@ every lease request so the coordinator can weight rendezvous routing
 and refuse over-grants.
 
 Every coordinator round trip goes through a
-:class:`~repro.cluster.breaker.CircuitBreaker`: a coordinator that
+:class:`~repro.resilience.CircuitBreaker`: a coordinator that
 disappears (crash, partition, restart) opens the breaker after a few
 consecutive connection failures, and the runner backs off
 exponentially (deterministic per-runner jitter) instead of spinning on
@@ -49,10 +49,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro import faults
-from repro.cluster.breaker import CircuitBreaker
 from repro.engine import session_report
 from repro.engine.backends import HttpStoreBackend
 from repro.engine.store import CacheStore
+from repro.resilience import CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.service.workers import execute_spec
 
@@ -186,22 +186,33 @@ class ClusterRunner:
             min(self.breaker.seconds_until_probe(time.monotonic()), 5.0),
         )
 
-    def _acquire(self) -> "dict | None":
-        """One lease request; None when there is nothing to do (or the
-        coordinator is unreachable / the breaker is open)."""
+    def _post(
+        self, path: str, body: "dict | None" = None
+    ) -> "tuple[int, dict | str] | None":
+        """One coordinator round trip through the breaker: (status,
+        decoded body), or None when the breaker is open or the
+        coordinator is unreachable."""
         if not self.breaker.allow(time.monotonic()):
             return None
         try:
             status, _headers, decoded = self.client.request(
-                "POST", "/v1/leases",
-                body={"runner": self.id, "capacity": self.config.capacity},
+                "POST", path, body=body
             )
         except OSError:
             self.breaker.record_failure(time.monotonic())
             return None
         self.breaker.record_success()
-        if status == 200 and isinstance(decoded, dict):
-            return decoded
+        return status, decoded
+
+    def _acquire(self) -> "dict | None":
+        """One lease request; None when there is nothing to do (or the
+        coordinator is unreachable / the breaker is open)."""
+        reply = self._post(
+            "/v1/leases",
+            {"runner": self.id, "capacity": self.config.capacity},
+        )
+        if reply and reply[0] == 200 and isinstance(reply[1], dict):
+            return reply[1]
         return None
 
     # -- execution -----------------------------------------------------------
@@ -292,24 +303,12 @@ class ClusterRunner:
         sub-job results."""
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            if not self.breaker.allow(time.monotonic()):
-                self._stop.wait(
-                    min(
-                        self.breaker.seconds_until_probe(time.monotonic()),
-                        0.5,
-                    )
-                    or 0.05
-                )
-                continue
-            try:
-                self.client.request(
-                    "POST", f"/v1/leases/{lease_id}/complete", body=body
-                )
-            except OSError:
-                self.breaker.record_failure(time.monotonic())
-                continue
-            self.breaker.record_success()
-            return
+            if self._post(f"/v1/leases/{lease_id}/complete", body):
+                return
+            self._stop.wait(
+                min(self.breaker.seconds_until_probe(time.monotonic()), 0.5)
+                or 0.05
+            )
         print(
             f"runner {self.id}: could not report lease {lease_id}; "
             f"relying on redelivery",
@@ -325,17 +324,10 @@ class ClusterRunner:
     ) -> None:
         interval = max(0.05, ttl / 3.0)
         while not stop.wait(interval):
-            if not self.breaker.allow(time.monotonic()):
-                continue  # open breaker: skip the beat, not the job
-            try:
-                status, _headers, _decoded = self.client.request(
-                    "POST", f"/v1/leases/{lease_id}/heartbeat"
-                )
-            except OSError:
-                self.breaker.record_failure(time.monotonic())
-                continue  # transient; the next beat may land in time
-            self.breaker.record_success()
-            if status == 410:
+            # An open breaker or a lost beat skips the beat, not the
+            # job; the next beat may land in time.
+            reply = self._post(f"/v1/leases/{lease_id}/heartbeat")
+            if reply and reply[0] == 410:
                 lost.set()
                 return
 

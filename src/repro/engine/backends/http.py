@@ -12,8 +12,9 @@ cluster coordinator serves its own store over five tiny endpoints
 
 This backend is deliberately *not* built on
 :class:`repro.service.client.ServiceClient` — the engine must not
-import the service package (the service imports the engine) — so it
-carries its own minimal ``http.client`` plumbing.
+import the service package (the service imports the engine) — but it
+shares the client's round trip (:class:`repro.transport.Transport`)
+and retry loop (:func:`repro.resilience.retry`).
 
 Failure semantics match the backend contract, with one cluster-grade
 refinement: **the proxy degrades, it never fails**.
@@ -29,9 +30,11 @@ refinement: **the proxy degrades, it never fails**.
   backend enters **degraded local-cache-only mode**: reads are served
   from a small in-process cache of entries this backend has already
   seen (anything else is a miss — cold-cache semantics, the runner
-  just re-simulates), and writes are buffered.  After a cooldown one
-  half-open probe request is allowed through; on success the buffered
-  writes are flushed (conditionally) and normal service resumes.
+  just re-simulates), and writes are buffered.  Degraded mode is a
+  :class:`~repro.resilience.CircuitBreaker` that one failure opens:
+  after a 0.25 s cooldown one half-open probe request is allowed
+  through; on success the buffered writes are flushed (conditionally)
+  and normal service resumes.
 * An injected ``reset`` fires *after* the request was sent: the
   coordinator processed the PUT but the response is lost.  The retry
   is a conditional PUT, so settling it costs a 412, not a duplicate
@@ -49,15 +52,15 @@ chaos replay reproduces it exactly regardless of timing.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
-import urllib.parse
 from collections import OrderedDict
 
 from repro import faults
 from repro.engine.backends.base import StoreBackend, StoreStats
+from repro.resilience import CLOSED, CircuitBreaker, retry
+from repro.transport import Transport
 
 #: Sites consulted per operation, in consult order (order matters only
 #: for spool readability; decisions are independent streams).
@@ -66,6 +69,10 @@ _WRITE_SITES = ("refused", "latency", "partition", "reset")
 
 #: Sites that make the proxy unreachable for this operation.
 _UNREACHABLE = frozenset({"refused", "latency", "partition"})
+
+_TIMEOUT = 30.0  # socket timeout per request, seconds
+_RETRIES = 1  # extra attempts for a retriable request
+_BACKOFF = 0.1  # base delay before a retry, seconds
 
 
 class HttpStoreBackend(StoreBackend):
@@ -77,37 +84,24 @@ class HttpStoreBackend(StoreBackend):
     #: the local cache is a brown-out shim, not a second store tier.
     LOCAL_CACHE_ENTRIES = 128
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        retries: int = 1,
-        backoff: float = 0.1,
-        probe_cooldown: float = 0.25,
-    ) -> None:
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError("only http:// store URLs are supported")
+    def __init__(self, base_url: str) -> None:
         self.base_url = base_url
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 8765
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.probe_cooldown = probe_cooldown
-        # Degraded-mode state, all under one lock: the runner executes
-        # leased jobs on several threads against one shared backend.
+        self.transport = Transport(base_url, _TIMEOUT)
+        # Degraded mode is this breaker away from closed: one failure
+        # opens it, and one probe per 0.25 s cooldown checks for healing.
+        self.breaker = CircuitBreaker(
+            failure_threshold=1, cooldown=0.25, max_cooldown=0.25
+        )
+        # The runner executes leased jobs on several threads against
+        # one shared backend.
         self._lock = threading.Lock()
-        self._degraded = False
-        self._probe_at = 0.0
         self._local: "OrderedDict[str, bytes]" = OrderedDict()
         self._pending: "OrderedDict[str, bytes]" = OrderedDict()
-        self.partitions = 0  # degraded windows entered
         self.flushed = 0  # buffered writes flushed on recovery
         self.conditional_skips = 0  # 412s observed (blob already there)
 
     def location(self) -> str:
-        return f"http://{self.host}:{self.port}/v1/store"
+        return f"http://{self.transport.host}:{self.transport.port}/v1/store"
 
     # -- wire plumbing -------------------------------------------------------
     def _request(
@@ -119,23 +113,11 @@ class HttpStoreBackend(StoreBackend):
         GETs (and conditional PUTs of content-addressed blobs) are safe
         to retry; the last error propagates as OSError.
         """
-        last: "Exception | None" = None
-        for attempt in range(1, self.retries + 2):
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            try:
-                conn.request(method, path, body=body, headers=headers or {})
-                response = conn.getresponse()
-                return response.status, response.read()
-            except OSError as exc:
-                last = exc
-                if not retriable or attempt > self.retries:
-                    raise
-                time.sleep(self.backoff * attempt)
-            finally:
-                conn.close()
-        raise OSError(f"store proxy unreachable: {last}")  # pragma: no cover
+        status, _headers, raw = retry(
+            lambda _n: self.transport.send(method, path, body, headers),
+            _RETRIES, _BACKOFF, retriable, key=f"{method} {path}",
+        )
+        return status, raw
 
     # -- fault consultation --------------------------------------------------
     def _injected(self, op: str, key: str) -> "set[str]":
@@ -149,32 +131,11 @@ class HttpStoreBackend(StoreBackend):
         return {s for s in sites if faults.fires(s, f"store-{op}:{key}")}
 
     # -- degraded mode -------------------------------------------------------
-    def _enter_degraded(self, now: float) -> None:
-        with self._lock:
-            if not self._degraded:
-                self._degraded = True
-                self.partitions += 1
-            self._probe_at = now + self.probe_cooldown
-
-    def _may_probe(self, now: float) -> bool:
-        """True when this call should try the wire: healthy, or degraded
-        with the half-open cooldown elapsed (claims the probe slot)."""
-        with self._lock:
-            if not self._degraded:
-                return True
-            if now >= self._probe_at:
-                # Claim the probe: concurrent callers stay local until
-                # this one settles (success resets, failure re-arms).
-                self._probe_at = now + self.probe_cooldown
-                return True
-            return False
-
     def _recovered(self) -> None:
-        """A probe succeeded: leave degraded mode and flush the buffer."""
+        """A round trip succeeded: close the breaker and flush the
+        writes buffered while it was open."""
+        self.breaker.record_success()
         with self._lock:
-            if not self._degraded:
-                return
-            self._degraded = False
             pending = list(self._pending.items())
             self._pending.clear()
         for key, blob in pending:
@@ -184,7 +145,7 @@ class HttpStoreBackend(StoreBackend):
                 # Mid-flush relapse: re-buffer what's left and back off.
                 with self._lock:
                     self._pending.setdefault(key, blob)
-                self._enter_degraded(time.monotonic())
+                self.breaker.record_failure(time.monotonic())
             else:
                 with self._lock:
                     self.flushed += 1
@@ -202,30 +163,27 @@ class HttpStoreBackend(StoreBackend):
 
     @property
     def degraded(self) -> bool:
-        with self._lock:
-            return self._degraded
+        return self.breaker.state != CLOSED
 
     # -- backend contract ----------------------------------------------------
     def read(self, key: str) -> "bytes | None":
         injected = self._injected("read", key)
-        now = time.monotonic()
         if injected & _UNREACHABLE:
-            self._enter_degraded(now)
-            return self._local_get(key)
-        if not self._may_probe(now):
-            return self._local_get(key)  # degraded: local-only, a miss
-        try:
-            status, body = self._request("GET", f"/v1/store/{key}")
-        except OSError:
-            self._enter_degraded(time.monotonic())
-            return self._local_get(key)
-        self._recovered()
-        if status != 200:
-            return None
-        self._local_put(key, body)
-        if "truncate" in injected:
-            return body[: len(body) // 2]  # torn read; checksum layer
-        return body
+            self.breaker.record_failure(time.monotonic())
+        elif self.breaker.allow(time.monotonic()):
+            try:
+                status, body = self._request("GET", f"/v1/store/{key}")
+            except OSError:
+                self.breaker.record_failure(time.monotonic())
+            else:
+                self._recovered()
+                if status != 200:
+                    return None
+                self._local_put(key, body)
+                if "truncate" in injected:
+                    return body[: len(body) // 2]  # torn; checksum layer
+                return body
+        return self._local_get(key)  # degraded: local-only, else a miss
 
     def _put(self, key: str, blob: bytes, retriable: bool = True) -> None:
         """One conditional PUT; 412 means the blob is already there."""
@@ -245,36 +203,31 @@ class HttpStoreBackend(StoreBackend):
 
     def write(self, key: str, blob: bytes) -> None:
         injected = self._injected("write", key)
-        now = time.monotonic()
         self._local_put(key, blob)  # degraded reads must see own writes
         if injected & _UNREACHABLE:
-            self._enter_degraded(now)
-            with self._lock:
-                self._pending[key] = blob
-            return
-        if not self._may_probe(now):
-            with self._lock:
-                self._pending[key] = blob
-            return
-        if "reset" in injected:
-            # The request goes out and the coordinator processes it,
-            # but the response is "lost".  Retry below settles it with
-            # a conditional PUT → 412, never a duplicate upload.
+            self.breaker.record_failure(time.monotonic())
+        elif self.breaker.allow(time.monotonic()):
+            if "reset" in injected:
+                # The request goes out and the coordinator processes
+                # it, but the response is "lost".  The retry below
+                # settles it with a conditional PUT → 412, never a
+                # duplicate upload.
+                try:
+                    self._request(
+                        "PUT", f"/v1/store/{key}", body=blob,
+                        retriable=False, headers={"If-None-Match": "*"},
+                    )
+                except OSError:
+                    pass  # genuinely unreachable; fall through to retry
             try:
-                self._request(
-                    "PUT", f"/v1/store/{key}", body=blob, retriable=False,
-                    headers={"If-None-Match": "*"},
-                )
+                self._put(key, blob)
             except OSError:
-                pass  # genuinely unreachable; fall through to retry
-        try:
-            self._put(key, blob)
-        except OSError:
-            self._enter_degraded(time.monotonic())
-            with self._lock:
-                self._pending[key] = blob
-            return
-        self._recovered()
+                self.breaker.record_failure(time.monotonic())
+            else:
+                self._recovered()
+                return
+        with self._lock:
+            self._pending[key] = blob  # flushed once the breaker closes
 
     def quarantine(self, key: str) -> None:
         try:

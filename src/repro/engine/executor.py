@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
-from repro import faults
+from repro import faults, resilience
 from repro.engine.jobs import execute_job
 from repro.engine.store import ResultStore
 
@@ -207,8 +206,9 @@ class JobExecutor:
             only — the serial path cannot interrupt a job).
         retries: Extra attempts after a worker crash or timeout.
         backoff: Base delay (seconds) between retry attempts; attempt
-            *n* waits ``backoff * 2^(n-1)``, scaled by a deterministic
-            jitter in [0.5, 1.5) and capped at ``backoff_cap``.
+            *n* waits :func:`repro.resilience.backoff` — ``backoff *
+            2^(n-1)`` with a deterministic +/-15% jitter, capped at
+            ``backoff_cap``.
         progress: Optional callable receiving one line per finished job.
     """
 
@@ -423,13 +423,13 @@ class JobExecutor:
     def _backed_off(
         self, key: str, job, attempt: int, clean: bool = False
     ) -> _Pending:
-        """Requeue entry with exponential backoff + deterministic jitter."""
-        exponent = max(0, attempt - 1)
-        delay = self.backoff * (2 ** exponent)
-        # Deterministic jitter in [0.5, 1.5): a pure function of the
-        # (key, attempt) pair, so replayed runs pace identically.
-        jitter = 0.5 + random.Random(f"{key}:{exponent}:backoff").random()
-        delay = min(delay * jitter, self.backoff_cap)
+        """Requeue entry with exponential backoff + deterministic jitter,
+        keyed by the (key, attempt) pair so replayed runs pace
+        identically."""
+        delay = resilience.backoff(
+            self.backoff, attempt, self.backoff_cap,
+            f"{key}:{attempt - 1}:backoff",
+        )
         return _Pending(
             key, job, not_before=time.perf_counter() + delay, clean=clean
         )

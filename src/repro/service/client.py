@@ -1,8 +1,8 @@
 """Thin blocking client for the simulation service.
 
-Stdlib-only (``http.client``), one connection per request — the server
-speaks ``Connection: close``.  Used by the ``stfm-sim submit`` /
-``status`` CLI verbs, the examples, and the test suite::
+A JSON codec over :class:`repro.transport.Transport`.  Used by the
+``stfm-sim submit`` / ``status`` CLI verbs, the examples, and the test
+suite::
 
     client = ServiceClient("http://127.0.0.1:8765")
     job = client.submit({"kind": "experiment", "experiment": "fig3",
@@ -11,9 +11,10 @@ speaks ``Connection: close``.  Used by the ``stfm-sim submit`` /
     print(done["result"]["rows"])
 
 The client is hardened for flaky transport: idempotent GETs are retried
-with exponential backoff on connection errors, and 429 responses are
-retried honoring the server's ``Retry-After`` — both bounded by the
-``retries`` budget, after which the original error propagates.
+on connection errors through :func:`repro.resilience.retry`, and 429
+responses are retried honoring the server's ``Retry-After`` — both
+bounded by the ``retries`` budget, after which the original error
+propagates.
 
 ``POST /v1/jobs`` is retried too: :meth:`ServiceClient.submit` stamps
 every submission with an ``Idempotency-Key`` header — the spec digest
@@ -26,13 +27,13 @@ the same spec later is a fresh attempt and may create a fresh job.
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.parse
 import uuid
 
 from repro import faults
+from repro.resilience import NotSent, retry
+from repro.transport import Transport
 
 
 class ServiceError(RuntimeError):
@@ -52,12 +53,6 @@ class BackpressureError(ServiceError):
         self.retry_after = retry_after
 
 
-class _InjectedDrop(ConnectionError):
-    """A pre-send transport fault (``drop`` / ``refused`` / ``latency``):
-    the connection 'failed' before any bytes left, so retrying is safe
-    for every method."""
-
-
 class ServiceClient:
     """Talks to one service instance at ``base_url``.
 
@@ -65,9 +60,10 @@ class ServiceClient:
         base_url: ``http://host:port`` of the service.
         timeout: Socket timeout per request, seconds.
         retries: Extra attempts for retriable failures — connection
-            errors on idempotent GETs, and 429 backpressure responses.
-        backoff: Base delay between connection-error retries; attempt
-            *n* waits ``backoff * 2^(n-1)`` seconds.
+            errors on idempotent requests, and 429 backpressure
+            responses.
+        backoff: Base delay between connection-error retries, paced by
+            :func:`repro.resilience.backoff`.
     """
 
     def __init__(
@@ -77,14 +73,9 @@ class ServiceClient:
         retries: int = 2,
         backoff: float = 0.2,
     ) -> None:
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError("only http:// service URLs are supported")
         if retries < 0:
             raise ValueError("retries cannot be negative")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 8765
-        self.timeout = timeout
+        self.transport = Transport(base_url, timeout)
         self.retries = retries
         self.backoff = backoff
         self._calls = 0  # request() ordinal; scopes transport-fault keys
@@ -94,27 +85,19 @@ class ServiceClient:
         self, method: str, path: str, body: "dict | None" = None,
         headers: "dict | None" = None,
     ) -> tuple[int, dict, "dict | str"]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        payload = None
+        headers = dict(headers or {})
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        status, response_headers, raw = self.transport.send(
+            method, path, payload, headers
         )
-        try:
-            payload = None
-            headers = dict(headers or {})
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            response_headers = {k.lower(): v for k, v in response.getheaders()}
-            content_type = response_headers.get("content-type", "")
-            if content_type.startswith("application/json"):
-                decoded: "dict | str" = json.loads(raw.decode())
-            else:
-                decoded = raw.decode()
-            return response.status, response_headers, decoded
-        finally:
-            conn.close()
+        if response_headers.get("content-type", "").startswith(
+            "application/json"
+        ):
+            return status, response_headers, json.loads(raw.decode())
+        return status, response_headers, raw.decode()
 
     def request(
         self, method: str, path: str, body: "dict | None" = None,
@@ -124,17 +107,17 @@ class ServiceClient:
 
         JSON bodies decode to dicts; anything else (``/metrics``) comes
         back as text.  No status is raised here — the typed helpers
-        below do that.  Connection errors are retried (with exponential
-        backoff) for GETs and for requests marked ``idempotent`` — a
-        POST carrying an ``Idempotency-Key`` the server dedups on is
-        safe to resend even when the first attempt may have been
-        admitted.  A dropped POST *without* such a key propagates
-        immediately.
+        below do that.  Connection errors are retried for GETs and for
+        requests marked ``idempotent`` — a POST carrying an
+        ``Idempotency-Key`` the server dedups on is safe to resend even
+        when the first attempt may have been admitted.  A dropped POST
+        *without* such a key propagates immediately.
 
         Injected transport faults (keyed per request attempt):
 
         * ``drop`` / ``refused`` / ``latency`` fire *before* the bytes
-          leave, so they are safely retriable for any method.
+          leave (:class:`~repro.resilience.NotSent`), so they are
+          safely retriable for any method.
         * ``reset`` fires *after* the request was sent — the server may
           have processed it; the response is lost.  It follows the real
           ``OSError`` rules: retried only for GETs and requests marked
@@ -142,39 +125,34 @@ class ServiceClient:
 
         ``drop`` keys by ``"METHOD /path #attempt"`` (a fixed stream per
         path, exercised by the bounded-retry tests); the network sites
-        additionally scope their keys by this client's call ordinal, so
-        one unlucky draw can degrade a call but never permanently
-        black-hole a hot path like the runners' lease poll.  Both forms
-        contain ``#`` and are therefore excluded from the replay-stable
-        decision set (see :data:`repro.faults.REPLAY_STABLE_SITES`).
+        additionally scope their keys by this client's call ordinal
+        (``"METHOD /path #call.attempt"``), so one unlucky draw can
+        degrade a call but never permanently black-hole a hot path like
+        the runners' lease poll.  Both forms contain ``#`` and are
+        therefore excluded from the replay-stable decision set (see
+        :data:`repro.faults.REPLAY_STABLE_SITES`).
         """
         self._calls += 1
-        for attempt in range(1, self.retries + 2):
-            fault_key = f"{method} {path} #{attempt}"
-            wire_key = f"{method} {path} #{self._calls}.{attempt}"
-            try:
-                if faults.fires("drop", fault_key):
-                    raise _InjectedDrop("injected connection drop")
-                if faults.fires("refused", wire_key):
-                    raise _InjectedDrop("injected connection refused")
-                if faults.fires("latency", wire_key):
-                    raise _InjectedDrop("injected latency past timeout")
-                if faults.fires("reset", wire_key):
-                    # The request really goes out (the server processes
-                    # it); only the response is lost.
-                    self._request_once(method, path, body, headers)
-                    raise ConnectionResetError("injected connection reset")
-                return self._request_once(method, path, body, headers)
-            except _InjectedDrop:
-                if attempt > self.retries:
-                    raise ConnectionError(
-                        "injected transport fault (retries exhausted)"
-                    ) from None
-            except OSError:
-                if (method != "GET" and not idempotent) or attempt > self.retries:
-                    raise
-            time.sleep(self.backoff * (2 ** (attempt - 1)))
-        raise AssertionError("unreachable")  # loop always returns or raises
+        call = f"{method} {path} #{self._calls}"
+
+        def attempt(n: int) -> tuple[int, dict, "dict | str"]:
+            if faults.fires("drop", f"{method} {path} #{n}"):
+                raise NotSent("injected connection drop")
+            if faults.fires("refused", f"{call}.{n}"):
+                raise NotSent("injected connection refused")
+            if faults.fires("latency", f"{call}.{n}"):
+                raise NotSent("injected latency past timeout")
+            if faults.fires("reset", f"{call}.{n}"):
+                # The request really goes out (the server processes
+                # it); only the response is lost.
+                self._request_once(method, path, body, headers)
+                raise ConnectionResetError("injected connection reset")
+            return self._request_once(method, path, body, headers)
+
+        return retry(
+            attempt, self.retries, self.backoff,
+            retriable=method == "GET" or idempotent, key=call,
+        )
 
     def _checked(self, method: str, path: str, body=None, ok=(200, 202),
                  headers=None, idempotent=False):
@@ -182,9 +160,12 @@ class ServiceClient:
             status, headers_out, decoded = self.request(
                 method, path, body, headers=headers, idempotent=idempotent
             )
+            try:
+                retry_after = int(headers_out.get("retry-after", "1"))
+            except ValueError:  # an HTTP-date (RFC 9110): wait 1 s
+                retry_after = 1
             if status != 429 or attempt > self.retries:
                 break
-            retry_after = int(headers_out.get("retry-after", "1"))
             time.sleep(min(max(retry_after, 0), 5.0))
         if status in ok:
             return status, headers_out, decoded
@@ -194,7 +175,6 @@ class ServiceClient:
             else str(decoded)
         )
         if status == 429:
-            retry_after = int(headers_out.get("retry-after", "1"))
             raise BackpressureError(retry_after, message)
         raise ServiceError(status, message)
 

@@ -25,7 +25,6 @@ import time
 import pytest
 
 from repro import faults
-from repro.cluster.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.cluster.chaos import ChaosFailure, _check_metrics, fault_spec
 from repro.cluster.checkpoint import CheckpointState, CoordinatorCheckpoint
 from repro.cluster.coordinator import (
@@ -36,6 +35,7 @@ from repro.cluster.coordinator import (
 from repro.cluster.leases import LeaseTable
 from repro.cluster.runner import ClusterRunner, RunnerConfig
 from repro.engine.backends import HttpStoreBackend
+from repro.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.client import ServiceClient, parse_metrics
 
 from tests.test_cluster import _spec, running_coordinator

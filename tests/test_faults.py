@@ -391,6 +391,37 @@ class TestServiceUnderInjection:
         assert view["id"] == "j-1"
         assert sleeps == [3.0, 2.0]
 
+    def test_429_http_date_retry_after_falls_back_to_one_second(
+        self, monkeypatch
+    ):
+        # RFC 9110 allows an HTTP-date in Retry-After; the client waits
+        # its 1 s default instead of crashing on int().
+        from repro.service import client as client_module
+        from repro.service.client import BackpressureError
+
+        client = client_module.ServiceClient(retries=1)
+        http_date = {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        responses = [
+            (429, http_date, {"error": "full"}),
+            (202, {}, {"id": "j-1", "status": "queued"}),
+            (429, http_date, {"error": "full"}),
+            (429, http_date, {"error": "full"}),
+        ]
+        monkeypatch.setattr(
+            client, "_request_once",
+            lambda method, path, body=None, headers=None: responses.pop(0),
+        )
+        sleeps: list[float] = []
+        monkeypatch.setattr(
+            client_module.time, "sleep", lambda s: sleeps.append(s)
+        )
+        view = client.submit({"kind": "experiment", "experiment": "fig3"})
+        assert view["id"] == "j-1"
+        assert sleeps == [1.0]
+        with pytest.raises(BackpressureError) as raised:
+            client.submit({"kind": "experiment", "experiment": "fig3"})
+        assert raised.value.retry_after == 1
+
     def test_429_still_raises_when_budget_burns_out(self, monkeypatch):
         from repro.service import client as client_module
         from repro.service.client import BackpressureError
