@@ -18,39 +18,8 @@ Correctness analysis (the simulator's own invariants):
 * :mod:`repro.analysis.protocol` — the runtime DRAM protocol sanitizer
   (``--sanitize``): validates every issued command against DDR2 timing
   and raises :class:`ProtocolViolation` with the offending window.
+
+Import the submodules directly.  The package itself imports nothing, so
+the simulator's sanitizer hook (:mod:`repro.analysis.protocol`) does not
+load the lint or the report generator.
 """
-
-from repro.analysis.compare import (
-    OrderingCheck,
-    ordering_agreement,
-    stfm_is_best,
-    trend_direction,
-)
-from repro.analysis.paper_data import (
-    PAPER_UNFAIRNESS,
-    PAPER_FIG5,
-    PAPER_TABLE5,
-)
-from repro.analysis.protocol import (
-    IssuedCommand,
-    ProtocolSanitizer,
-    ProtocolViolation,
-)
-from repro.analysis.report import generate_report
-from repro.analysis.simlint import LintConfig, run_simlint
-
-__all__ = [
-    "IssuedCommand",
-    "LintConfig",
-    "OrderingCheck",
-    "PAPER_FIG5",
-    "PAPER_TABLE5",
-    "PAPER_UNFAIRNESS",
-    "ProtocolSanitizer",
-    "ProtocolViolation",
-    "generate_report",
-    "ordering_agreement",
-    "run_simlint",
-    "stfm_is_best",
-    "trend_direction",
-]

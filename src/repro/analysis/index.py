@@ -7,12 +7,10 @@ are reachable from them, which functions run on worker threads, what
 type ``self.leases`` resolves to three modules away.  This module
 builds those facts in two passes:
 
-1. :meth:`FileIndex.build` extracts a *serializable* per-file summary
-   (imports, classes with attribute types, functions with their call
-   sites, lock contexts, global mutations, thread starts).  Because it
-   is a plain-dict round-trip (:meth:`FileIndex.to_dict` /
-   :meth:`FileIndex.from_dict`), the incremental cache can persist it
-   and a warm re-lint skips ``ast.parse`` entirely.
+1. :meth:`FileIndex.build` extracts a per-file summary (imports,
+   classes with attribute types, functions with their call sites,
+   lock contexts, global mutations, thread starts) from the file's
+   already-parsed tree.
 2. :meth:`ProjectIndex.link` joins the summaries: module graph, call
    graph (attribute chains resolved through class attribute types),
    the async-reachable closure, thread-entry points and their
@@ -123,35 +121,6 @@ class CallSite:
     #: (``client.request("POST", f"/v1/leases/{id}/heartbeat")``).
     str_args: "tuple[str | None, str | None]" = (None, None)
 
-    def to_dict(self) -> dict:
-        return {
-            "chain": list(self.chain),
-            "line": self.line,
-            "col": self.col,
-            "awaited": self.awaited,
-            "under_lock": self.under_lock,
-            "const_kwargs": dict(self.const_kwargs),
-            "kwarg_funcs": {k: list(v) for k, v in self.kwarg_funcs.items()},
-            "func_args": [list(c) for c in self.func_args],
-            "str_args": list(self.str_args),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallSite":
-        return cls(
-            chain=tuple(data["chain"]),
-            line=data["line"],
-            col=data["col"],
-            awaited=data["awaited"],
-            under_lock=data["under_lock"],
-            const_kwargs=dict(data["const_kwargs"]),
-            kwarg_funcs={
-                k: tuple(v) for k, v in data["kwarg_funcs"].items()
-            },
-            func_args=tuple(tuple(c) for c in data["func_args"]),
-            str_args=(data["str_args"][0], data["str_args"][1]),
-        )
-
 
 @dataclass
 class Mutation:
@@ -162,16 +131,6 @@ class Mutation:
     col: int
     locked: bool
     kind: str  # "rebind" | "call"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line, "col": self.col,
-            "locked": self.locked, "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Mutation":
-        return cls(**data)
 
 
 @dataclass
@@ -188,21 +147,6 @@ class ThreadStart:
     joined: bool = False
     escapes: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "line": self.line, "col": self.col,
-            "target": list(self.target) if self.target else None,
-            "var": self.var, "daemon": self.daemon,
-            "started": self.started, "joined": self.joined,
-            "escapes": self.escapes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThreadStart":
-        data = dict(data)
-        data["target"] = tuple(data["target"]) if data["target"] else None
-        return cls(**data)
-
 
 @dataclass
 class StatusCompare:
@@ -211,14 +155,6 @@ class StatusCompare:
     name: str
     values: "tuple[int, ...]"
     line: int
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "values": list(self.values),
-                "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StatusCompare":
-        return cls(data["name"], tuple(data["values"]), data["line"])
 
 
 @dataclass
@@ -236,37 +172,6 @@ class FunctionInfo:
     compares: "list[StatusCompare]" = field(default_factory=list)
     raises_codes: "tuple[int, ...]" = ()  # _HttpError(<int>, ...) raises
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "is_async": self.is_async,
-            "calls": [c.to_dict() for c in self.calls],
-            "declared_globals": list(self.declared_globals),
-            "mutations": [m.to_dict() for m in self.mutations],
-            "thread_starts": [t.to_dict() for t in self.thread_starts],
-            "await_lines": [list(a) for a in self.await_lines],
-            "compares": [c.to_dict() for c in self.compares],
-            "raises_codes": list(self.raises_codes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            line=data["line"],
-            is_async=data["is_async"],
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            declared_globals=tuple(data["declared_globals"]),
-            mutations=[Mutation.from_dict(m) for m in data["mutations"]],
-            thread_starts=[
-                ThreadStart.from_dict(t) for t in data["thread_starts"]
-            ],
-            await_lines=[tuple(a) for a in data["await_lines"]],
-            compares=[StatusCompare.from_dict(c) for c in data["compares"]],
-            raises_codes=tuple(data["raises_codes"]),
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -276,21 +181,6 @@ class ClassInfo:
     #: ``self.x: T`` (first assignment wins).
     attr_types: "dict[str, str]" = field(default_factory=dict)
     methods: "tuple[str, ...]" = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "bases": list(self.bases),
-            "attr_types": dict(self.attr_types),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassInfo":
-        return cls(
-            name=data["name"], bases=tuple(data["bases"]),
-            attr_types=dict(data["attr_types"]),
-            methods=tuple(data["methods"]),
-        )
 
 
 def module_name_of(path: str) -> str:
@@ -309,7 +199,7 @@ def module_name_of(path: str) -> str:
 
 @dataclass
 class FileIndex:
-    """Serializable summary of one source file."""
+    """Summary of one source file."""
 
     path: str
     module: str
@@ -323,47 +213,11 @@ class FileIndex:
     set_attrs: "tuple[str, ...]" = ()
     dict_of_set_attrs: "tuple[str, ...]" = ()
 
-    # -- construction --------------------------------------------------------
-
     @classmethod
     def build(cls, path: str, tree: ast.AST) -> "FileIndex":
         builder = _FileIndexBuilder(path)
         builder.visit_module(tree)
         return builder.index
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "module_types": dict(self.module_types),
-            "module_globals": list(self.module_globals),
-            "set_attrs": list(self.set_attrs),
-            "dict_of_set_attrs": list(self.dict_of_set_attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileIndex":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            imports=dict(data["imports"]),
-            classes={
-                k: ClassInfo.from_dict(v) for k, v in data["classes"].items()
-            },
-            functions={
-                k: FunctionInfo.from_dict(v)
-                for k, v in data["functions"].items()
-            },
-            module_types=dict(data["module_types"]),
-            module_globals=tuple(data["module_globals"]),
-            set_attrs=tuple(data["set_attrs"]),
-            dict_of_set_attrs=tuple(data["dict_of_set_attrs"]),
-        )
 
 
 class _FileIndexBuilder:

@@ -1,21 +1,19 @@
 """The multi-pass lint pipeline: parse → index → link → rules.
 
-:func:`run_passes` is the engine behind both
-:func:`repro.analysis.simlint.lint_sources` and the cached CLI path:
+:func:`run_passes` is the engine behind :func:`repro.analysis.simlint.
+lint_items`.  Everything stays in memory, and each file is parsed
+exactly once:
 
-1. **index** — for every file, obtain its serializable
-   :class:`~repro.analysis.index.FileIndex` contribution, from the
-   cache when the file's SHA-256 matches, else by parsing.
+1. **index** — parse every file and extract its
+   :class:`~repro.analysis.index.FileIndex` contribution; the tree is
+   kept for pass 3.
 2. **link** — join all contributions into the project-wide
    :class:`~repro.analysis.index.ProjectIndex` (call graph, thread
    closure, blocking classification).
-3. **rules** — replay cached findings for files whose (sha, tree
-   digest, rule selection) key matches; run the rule set (parsing on
-   demand) for the rest.
+3. **rules** — run the rule set over each kept tree.
 
-On a warm, unchanged tree every file takes the replay path and the
-run performs zero ``ast.parse`` calls — :class:`LintStats` counts
-them so the tests can assert exactly that.
+:class:`LintStats` counts files and parses so the tests can assert
+the parse-once property.
 """
 
 from __future__ import annotations
@@ -23,156 +21,86 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.cache import LintCache, source_digest, tree_digest
 from repro.analysis.index import FileIndex, ProjectIndex
 from repro.analysis.rules import Finding, LintContext, Rule
 
 
 @dataclass
 class LintStats:
-    """Instrumentation for the incremental pipeline."""
+    """Instrumentation for the pipeline."""
 
     files: int = 0
     parsed: int = 0
-    index_reused: int = 0
-    findings_reused: int = 0
 
 
 @dataclass
 class PassResult:
     findings: "list[Finding]" = field(default_factory=list)
     stats: LintStats = field(default_factory=LintStats)
-    index: ProjectIndex = field(default_factory=ProjectIndex)
 
 
-@dataclass
-class _Entry:
-    path: str
-    source: str
-    digest: str
-    domain: str
-    tree: "ast.AST | None" = None
-    syntax_error: "Finding | None" = None
-    parse_failed: bool = False
-
-
-def _parse(entry: _Entry, stats: LintStats) -> "ast.AST | None":
-    """Parse on demand; a SyntaxError yields a SIM000 finding once."""
-    if entry.tree is not None or entry.parse_failed:
-        return entry.tree
-    stats.parsed += 1
+def _parse(path: str, source: str) -> "tuple[ast.AST | None, Finding | None]":
+    """Parse one file; a SyntaxError yields a SIM000 finding instead."""
     try:
-        entry.tree = ast.parse(entry.source, filename=entry.path)
+        return ast.parse(source, filename=path), None
     except SyntaxError as exc:
-        entry.parse_failed = True
-        entry.syntax_error = Finding(
-            path=entry.path,
+        return None, Finding(
+            path=path,
             line=exc.lineno or 1,
             col=exc.offset or 0,
             code="SIM000",
             message=f"syntax error: {exc.msg}",
             fixit="fix the syntax error so simlint can parse the file",
         )
-    return entry.tree
-
-
-def _finding_to_dict(finding: Finding) -> dict:
-    return {
-        "path": finding.path, "line": finding.line, "col": finding.col,
-        "code": finding.code, "message": finding.message,
-        "fixit": finding.fixit,
-    }
-
-
-def _finding_from_dict(data: dict) -> Finding:
-    return Finding(**data)
 
 
 def run_passes(
     entries: "list[tuple[str, str, str]]",
     rules: "list[Rule]",
     suppress,
-    cache: "LintCache | None" = None,
 ) -> PassResult:
     """Run the pipeline over (path, domain, source) triples.
 
     ``suppress(entry_path, lines, finding)`` decides per-line
-    suppression; it is applied before findings are cached, so a
-    replayed file never resurrects a suppressed finding.
+    suppression.
     """
     result = PassResult()
     stats = result.stats
-    index = result.index
-    selection = ",".join(rule.code for rule in rules)
+    index = ProjectIndex()
+    stats.files = len(entries)
 
-    items = [
-        _Entry(path, source, source_digest(source), domain)
-        for path, domain, source in entries
-    ]
-    stats.files = len(items)
-
-    # pass 1: per-file index contributions (cache-aware)
-    for entry in items:
-        cached = cache.get_index(entry.digest) if cache else None
-        if cached is not None and cached.get("path") == entry.path:
-            index.add_file(FileIndex.from_dict(cached))
-            stats.index_reused += 1
-            continue
-        tree = _parse(entry, stats)
+    # pass 1: parse once, collect per-file index contributions
+    trees = []
+    for path, _domain, source in entries:
+        tree, syntax_error = _parse(path, source)
+        stats.parsed += 1
+        trees.append(tree)
         if tree is None:
-            index.add_file(FileIndex(path=entry.path, module=entry.path))
-            continue
-        file_index = FileIndex.build(entry.path, tree)
-        index.add_file(file_index)
-        if cache is not None:
-            cache.put_index(entry.digest, file_index.to_dict())
+            result.findings.append(syntax_error)
+            index.add_file(FileIndex(path=path, module=path))
+        else:
+            index.add_file(FileIndex.build(path, tree))
 
     # pass 2: link the project view
     index.link()
-    digest_of_tree = tree_digest([(e.path, e.digest) for e in items])
 
-    # pass 3: rules, replaying cached findings where valid
-    for entry in items:
-        if entry.syntax_error is not None:
-            result.findings.append(entry.syntax_error)
-            continue
-        key = None
-        if cache is not None:
-            key = cache.findings_key(
-                entry.digest, digest_of_tree, selection
-            )
-            replay = cache.get_findings(key)
-            if replay is not None:
-                result.findings.extend(
-                    _finding_from_dict(item) for item in replay
-                )
-                stats.findings_reused += 1
-                continue
-        tree = _parse(entry, stats)
+    # pass 3: rules over the kept trees
+    for (path, domain, source), tree in zip(entries, trees):
         if tree is None:
-            if entry.syntax_error is not None:
-                result.findings.append(entry.syntax_error)
             continue
-        lines = entry.source.splitlines()
+        lines = source.splitlines()
         ctx = LintContext(
-            path=entry.path,
-            domain=entry.domain,
-            source=entry.source,
+            path=path,
+            domain=domain,
+            source=source,
             lines=lines,
             tree=tree,
             index=index,
         )
-        kept: "list[Finding]" = []
         for rule in rules:
             for finding in rule.run(ctx):
-                if suppress(entry.path, lines, finding):
-                    continue
-                kept.append(finding)
-        result.findings.extend(kept)
-        if cache is not None and key is not None:
-            cache.put_findings(
-                key, [_finding_to_dict(finding) for finding in kept]
-            )
+                if not suppress(path, lines, finding):
+                    result.findings.append(finding)
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result

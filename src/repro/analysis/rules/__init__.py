@@ -15,7 +15,7 @@ Rules report :class:`Finding` objects; inline suppression
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Sub-packages that make up the simulator core: code here must be
@@ -62,7 +62,7 @@ from repro.analysis.index import (  # noqa: E402  (re-export)
 __all__ = [
     "ALL_DOMAINS", "ARBITRATION_DOMAINS", "CORE_DOMAINS",
     "GENERATION_DOMAINS", "FileIndex", "Finding", "LintContext",
-    "ProjectIndex", "Rule", "all_rules", "index_file", "walk_shallow",
+    "ProjectIndex", "Rule", "all_rules", "walk_shallow",
 ]
 
 
@@ -165,39 +165,6 @@ def _is_default_factory_set(node: ast.AST) -> bool:
         ):
             return True
     return False
-
-
-def index_file(tree: ast.AST, index: ProjectIndex) -> None:
-    """Record set-typed attribute names of one file into the index."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                name = stmt.target.id
-                if annotation_is_set(stmt.annotation) or (
-                    stmt.value is not None
-                    and _is_default_factory_set(stmt.value)
-                ):
-                    index.set_attrs.add(name)
-                elif annotation_is_dict_of_set(stmt.annotation):
-                    index.dict_of_set_attrs.add(name)
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for stmt in ast.walk(method):
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Attribute)
-                    and isinstance(stmt.target.value, ast.Name)
-                    and stmt.target.value.id == "self"
-                ):
-                    if annotation_is_set(stmt.annotation):
-                        index.set_attrs.add(stmt.target.attr)
-                    elif annotation_is_dict_of_set(stmt.annotation):
-                        index.dict_of_set_attrs.add(stmt.target.attr)
 
 
 def all_rules() -> list[Rule]:

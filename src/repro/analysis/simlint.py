@@ -25,27 +25,29 @@ SIM105    no threads/processes started but never joined/handed off
 SIM106    no ``ContextVar`` writes from thread-pool entry points
 SIM107    lease transitions only in their declared handlers
 SIM108    lease routes only emit/branch on contracted status codes
+SIM109    no unbounded, unpaced retry loops around network I/O
 ========  ==============================================================
 
 The per-file rules (SIM001–SIM007) see one AST at a time; the
 concurrency and protocol families consume the project-wide index of
 :mod:`repro.analysis.index`, built by the parse → index → link →
-rules pipeline in :mod:`repro.analysis.passes`.  The CLI keeps an
-incremental cache under ``.simlint-cache/`` (``--no-cache`` bypasses
-it) and can emit ``--format json`` or ``--format sarif`` for machine
-consumers; CI maps the default text format onto inline annotations
-via ``.github/simlint-matcher.json``.
+rules pipeline in :mod:`repro.analysis.passes`, which parses each
+file once and keeps nothing between runs.  The CLI can emit
+``--format json`` or ``--format sarif`` for machine consumers; CI maps
+the default text format onto inline annotations via
+``.github/simlint-matcher.json``.
 
 Findings can be suppressed per line with a trailing
 ``# simlint: disable=SIM003`` (or ``# simlint: disable`` for all
-rules), and per rule via the ``[simlint]`` block of ``setup.cfg``::
+rules), and per rule via the ``[simlint]`` block of ``setup.cfg``
+(an unknown code there, or in ``--select``/``--ignore``, exits 2)::
 
     [simlint]
     # enable = SIM001, SIM003     # run only these
     disable = SIM005              # never run these
 
 Run it as ``stfm-sim lint [paths...]`` (exit status 1 when findings
-remain) or ``python -m repro.analysis.simlint``; the tier-1 test suite
+remain) or ``simlint [paths...]``; the tier-1 test suite
 runs it over the tree (``tests/test_simlint_clean.py``), so a PR that
 introduces a violation fails CI.
 """
@@ -53,30 +55,25 @@ introduces a violation fails CI.
 from __future__ import annotations
 
 import argparse
-import ast
 import configparser
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.cache import DEFAULT_CACHE_DIR, LintCache
-from repro.analysis.passes import PassResult, run_passes
-from repro.analysis.rules import (
-    Finding,
-    LintContext,
-    ProjectIndex,
-    Rule,
-    all_rules,
-    index_file,
-)
+# The rules and the pipeline load on first use, so that declaring the
+# options (``stfm-sim`` builds its ``lint`` subcommand at every start)
+# costs no more than this module.
+if TYPE_CHECKING:
+    from repro.analysis.passes import PassResult
+    from repro.analysis.rules import Finding, Rule
 
 __all__ = [
-    "LintConfig", "lint_sources", "load_config", "main", "run_simlint",
+    "LintConfig", "add_arguments", "lint_sources", "load_config", "main",
+    "run", "run_simlint",
 ]
-
-_ = (LintContext, ProjectIndex, index_file)  # re-exported for rule tests
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*disable(?:=(?P<codes>[A-Z0-9,\s]+))?"
@@ -104,6 +101,20 @@ def _parse_codes(raw: str) -> frozenset[str]:
     )
 
 
+def _rule_codes(raw: str, where: str) -> frozenset[str]:
+    """Parse codes that name registered rules; ValueError naming the rest."""
+    from repro.analysis.rules import all_rules
+
+    codes = _parse_codes(raw)
+    unknown = sorted(codes - {rule.code for rule in all_rules()})
+    if unknown:
+        raise ValueError(
+            f"unknown rule code(s) in {where}: {', '.join(unknown)} "
+            "(see --list-rules)"
+        )
+    return codes
+
+
 def load_config(config_path: "str | None" = None) -> LintConfig:
     """Read the ``[simlint]`` block of ``setup.cfg`` (if present).
 
@@ -111,9 +122,15 @@ def load_config(config_path: "str | None" = None) -> LintConfig:
         config_path: Explicit path to an ini file; by default
             ``setup.cfg`` is searched in the current directory and then
             upward from this package (the repository checkout).
+
+    Raises:
+        FileNotFoundError: ``config_path`` is given but does not exist.
+        ValueError: the block names a code no registered rule has.
     """
     candidates = []
     if config_path:
+        if not os.path.isfile(config_path):
+            raise FileNotFoundError(f"no such config file: {config_path}")
         candidates.append(config_path)
     else:
         candidates.append(os.path.join(os.getcwd(), "setup.cfg"))
@@ -130,10 +147,10 @@ def load_config(config_path: "str | None" = None) -> LintConfig:
             continue
         section = parser["simlint"]
         enable = section.get("enable", "").strip()
-        disable = section.get("disable", "").strip()
+        where = f"the [simlint] block of {candidate}"
         return LintConfig(
-            enable=_parse_codes(enable) if enable else None,
-            disable=_parse_codes(disable) if disable else frozenset(),
+            enable=_rule_codes(enable, where) if enable else None,
+            disable=_rule_codes(section.get("disable", ""), where),
         )
     return LintConfig()
 
@@ -171,28 +188,6 @@ def collect_files(paths: list[str]) -> list[str]:
     return sorted(dict.fromkeys(files))
 
 
-@dataclass
-class _Source:
-    path: str
-    source: str
-    tree: ast.AST = field(init=False)
-    error: "Finding | None" = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        try:
-            self.tree = ast.parse(self.source, filename=self.path)
-        except SyntaxError as exc:
-            self.tree = ast.Module(body=[], type_ignores=[])
-            self.error = Finding(
-                path=self.path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                code="SIM000",
-                message=f"syntax error: {exc.msg}",
-                fixit="fix the syntax error so simlint can parse the file",
-            )
-
-
 def _line_suppressions(lines: list[str]) -> dict[int, frozenset[str] | None]:
     """Per-line suppressions: line -> codes (None = suppress everything)."""
     suppressed: dict[int, frozenset[str] | None] = {}
@@ -223,7 +218,6 @@ def lint_items(
     items: "list[tuple[str, str]]",
     config: "LintConfig | None" = None,
     rules: "list[Rule] | None" = None,
-    cache: "LintCache | None" = None,
 ) -> PassResult:
     """Run the full pipeline over (path, source) pairs.
 
@@ -232,13 +226,16 @@ def lint_items(
     call graph, lease-handler classification — are visible regardless
     of which file a rule is looking at.
     """
+    from repro.analysis.passes import run_passes
+    from repro.analysis.rules import all_rules
+
     config = config or LintConfig()
     rules = rules if rules is not None else all_rules()
     active = [rule for rule in rules if config.selects(rule.code)]
     entries = [
         (path, _domain_of(path), text) for path, text in items
     ]
-    return run_passes(entries, active, _suppressor(), cache=cache)
+    return run_passes(entries, active, _suppressor())
 
 
 def lint_sources(
@@ -259,12 +256,10 @@ def _read_items(paths: "list[str]") -> "list[tuple[str, str]]":
 
 
 def run_simlint(
-    paths: list[str],
-    config: "LintConfig | None" = None,
-    cache: "LintCache | None" = None,
+    paths: list[str], config: "LintConfig | None" = None
 ) -> list[Finding]:
     """Lint files/directories on disk and return all findings."""
-    return lint_items(_read_items(paths), config, cache=cache).findings
+    return lint_items(_read_items(paths), config).findings
 
 
 # -- output formats ----------------------------------------------------------
@@ -356,12 +351,9 @@ def _default_lint_path() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simlint",
-        description="Static correctness analysis for the STFM simulator "
-        "(determinism and numeric-hygiene invariants).",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint options on ``parser``: ``simlint`` and
+    ``stfm-sim lint`` share them, and :func:`run` reads them."""
     parser.add_argument(
         "paths", nargs="*", help="files/directories (default: src/repro)"
     )
@@ -385,47 +377,57 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the incremental cache entirely",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
-        help=f"incremental cache location (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
-        help="print pipeline statistics (files, parses, cache reuse)",
+        help="print pipeline statistics (files, parses) to stderr",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="simlint",
+        description="Static correctness analysis for the STFM simulator "
+        "(determinism and numeric-hygiene invariants).",
+    )
+    add_arguments(parser)
     return parser
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Lint as ``args`` (from :func:`add_arguments`) asks.
+
+    Exit status: 0 clean, 1 findings, 2 a missing path, a missing or
+    malformed ``--config`` file, or an unknown rule code.
+    """
+    from repro.analysis.rules import all_rules
+
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  {rule.summary}")
             print(f"        fix: {rule.fixit}")
         return 0
-    config = load_config(args.config)
-    if args.select:
-        config.enable = _parse_codes(args.select)
-    if args.ignore:
-        config.disable = config.disable | _parse_codes(args.ignore)
-    paths = args.paths or [_default_lint_path()]
-    cache = None if args.no_cache else LintCache(args.cache_dir)
-    result = lint_items(_read_items(paths), config, cache=cache)
-    if cache is not None:
-        cache.save()
+    try:
+        config = load_config(args.config)
+        if args.select:
+            config.enable = _rule_codes(args.select, "--select")
+        if args.ignore:
+            config.disable |= _rule_codes(args.ignore, "--ignore")
+        items = _read_items(args.paths or [_default_lint_path()])
+    except (OSError, ValueError, configparser.Error) as exc:
+        print(f"simlint: {exc}", file=sys.stderr)
+        return 2
+    result = lint_items(items, config)
     print(_RENDERERS[args.format](result.findings))
     if args.stats:
         stats = result.stats
         print(
-            f"stats: {stats.files} file(s), {stats.parsed} parsed, "
-            f"{stats.index_reused} index entr(ies) reused, "
-            f"{stats.findings_reused} findings replayed",
+            f"stats: {stats.files} file(s), {stats.parsed} parsed",
             file=sys.stderr,
         )
     return 1 if result.findings else 0
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import sys
 import time
 from dataclasses import replace
 
+from repro.analysis import simlint
 from repro.engine import (
     EngineOptions,
     JobFailedError,
@@ -207,29 +208,6 @@ def _cmd_report(args) -> int:
     else:
         print(report)
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis.simlint import main as simlint_main
-
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.lint_config:
-        argv += ["--config", args.lint_config]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.stats:
-        argv += ["--stats"]
-    return simlint_main(argv)
 
 
 def _cmd_serve(args) -> int:
@@ -728,39 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="run simlint, the static simulator-invariant "
         "analysis (exit 1 on findings)"
     )
-    lint_parser.add_argument(
-        "paths", nargs="*", help="files/directories (default: src/repro)"
-    )
-    lint_parser.add_argument(
-        "--select", metavar="CODES", help="run only these rule codes"
-    )
-    lint_parser.add_argument(
-        "--ignore", metavar="CODES", help="additionally disable these codes"
-    )
-    lint_parser.add_argument(
-        "--config", dest="lint_config", metavar="PATH",
-        help="ini file with a [simlint] block (default: setup.cfg)",
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true", help="describe rules and exit"
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default text)",
-    )
-    lint_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental lint cache",
-    )
-    lint_parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="incremental cache directory (default .simlint-cache)",
-    )
-    lint_parser.add_argument(
-        "--stats", action="store_true",
-        help="print parse/reuse statistics to stderr",
-    )
-    lint_parser.set_defaults(func=_cmd_lint)
+    simlint.add_arguments(lint_parser)
+    lint_parser.set_defaults(func=simlint.run)
 
     serve_parser = sub.add_parser(
         "serve", help="run the HTTP simulation service (see repro.service)"

@@ -6,6 +6,7 @@ applies to) is exercised without touching the real tree.  The real tree
 is covered by ``tests/test_simlint_clean.py``.
 """
 
+import json
 import textwrap
 
 import pytest
@@ -354,6 +355,37 @@ class TestDriver:
         with pytest.raises(FileNotFoundError):
             run_simlint(["definitely/not/a/path"])
 
+    @pytest.mark.parametrize("flag", ["--select", "--ignore"])
+    def test_unknown_flag_code_exits_2(self, flag, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        assert main([str(clean), flag, "SIM001,sim00l,SIM999"]) == 2
+        captured = capsys.readouterr()
+        assert f"in {flag}: SIM00L, SIM999" in captured.err
+        assert "clean" not in captured.out
+
+    def test_bad_config_block_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "setup.cfg"
+        ini.write_text("[simlint]\ndisable = SIM003, SIM999\n")
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        assert main([str(clean), "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[simlint] block" in err and "SIM999" in err
+        with pytest.raises(ValueError, match="SIM999"):
+            load_config(str(ini))
+        ini.write_text("disable = SIM003\n")  # no section header
+        assert main([str(clean), "--config", str(ini)]) == 2
+
+    def test_missing_config_file_or_path_exits_2(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        missing = tmp_path / "nonexistent.cfg"
+        assert main([str(clean), "--config", str(missing)]) == 2
+        assert "no such config file" in capsys.readouterr().err
+        assert main([str(missing.with_suffix(".py"))]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
+
 
 class TestCliIntegration:
     def test_stfm_sim_lint_subcommand(self, tmp_path, capsys):
@@ -371,3 +403,24 @@ class TestCliIntegration:
 
         assert cli_main(["lint", "--list-rules"]) == 0
         assert "SIM003" in capsys.readouterr().out
+
+    def test_stfm_sim_lint_json_with_stats(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        package = tmp_path / "src" / "repro" / "controller"
+        package.mkdir(parents=True)
+        bad = package / "bad.py"
+        bad.write_text("marked = id(object())\n")
+        argv = ["lint", "--format", "json", "--stats", str(bad)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["count"] == 1
+        assert payload["findings"][0]["code"] == "SIM004"
+        assert "1 file(s), 1 parsed" in captured.err
+
+    def test_stfm_sim_lint_unknown_select_exits_2(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["lint", "--select", "SIM999"]) == 2
+        assert "SIM999" in capsys.readouterr().err

@@ -1,12 +1,11 @@
-"""Concurrency + protocol rule families, pipeline cache, and formats.
+"""Concurrency + protocol rule families, the pipeline, and formats.
 
 Every SIM1xx rule is exercised twice from fixtures under
 ``tests/lint_fixtures/``: a ``*_pos.py`` snippet that must fire it and
 a ``*_neg.py`` snippet that must stay silent — no rule is allowed to
 be vacuously clean.  The real coordinator/runner sources are checked
-against the lease model, the incremental cache is proven to re-lint a
-warm tree with zero parses, and the machine formats are pinned by a
-golden file.
+against the lease model, the pipeline is proven to parse each file
+exactly once, and the machine formats are pinned by a golden file.
 """
 
 import json
@@ -14,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import LintCache
 from repro.analysis.simlint import (
     LintConfig,
     lint_items,
@@ -179,7 +177,7 @@ class TestLeaseSanitizer:
         assert table.sanitizer.transitions_checked == 4
 
 
-class TestIncrementalCache:
+class TestPipeline:
     def _items(self):
         items = []
         for fixture in sorted(FIXTURES.glob("sim*_*.py")):
@@ -187,47 +185,13 @@ class TestIncrementalCache:
             items.append((f"{fixture.stem}/{path}", source))
         return items
 
-    def test_warm_run_does_zero_parses(self, tmp_path):
+    def test_parses_each_file_once(self):
         items = self._items()
-        cold_cache = LintCache(str(tmp_path / "cache"))
-        cold = lint_items(items, cache=cold_cache)
-        assert cold.stats.parsed == len(items)
-        cold_cache.save()
-
-        warm_cache = LintCache(str(tmp_path / "cache"))
-        warm = lint_items(items, cache=warm_cache)
-        assert warm.stats.parsed == 0
-        assert warm.stats.findings_reused == len(items)
-        assert warm.findings == cold.findings
-
-    def test_edit_invalidates_findings_but_not_indexes(self, tmp_path):
-        items = self._items()
-        cache = LintCache(str(tmp_path / "cache"))
-        lint_items(items, cache=cache)
-        cache.save()
-
-        changed = list(items)
-        path, source = changed[0]
-        changed[0] = (path, source + "\n# touched\n")
-        rerun_cache = LintCache(str(tmp_path / "cache"))
-        rerun = lint_items(changed, cache=rerun_cache)
-        # unchanged files reuse their index contributions...
-        assert rerun.stats.index_reused == len(items) - 1
-        # ...but cross-file rules force findings to be recomputed.
-        assert rerun.stats.findings_reused == 0
-
-    def test_no_cache_path_still_lints(self):
-        items = self._items()
-        result = lint_items(items, cache=None)
-        assert result.stats.parsed == len(items)
-
-    def test_corrupt_manifest_is_discarded(self, tmp_path):
-        root = tmp_path / "cache"
-        root.mkdir()
-        (root / "manifest.json").write_text("{not json")
-        cache = LintCache(str(root))
-        result = lint_items(self._items(), cache=cache)
-        assert result.stats.parsed == len(self._items())
+        first = lint_items(items)
+        assert first.stats.files == len(items)
+        assert first.stats.parsed == first.stats.files
+        assert first.findings  # the *_pos fixtures fire
+        assert lint_items(items).findings == first.findings
 
 
 class TestOutputFormats:
