@@ -211,11 +211,17 @@ def _time_per_policy(budget: int) -> dict:
 
 
 def _time_engine_parallel(scale: str) -> dict:
-    """Serial vs process-pool wall time of one experiment batch."""
+    """Serial vs process-pool wall time of one experiment batch.
+
+    With one CPU the pool would run serial against serial and report a
+    meaningless speedup, so the probe reports itself as skipped.
+    """
+    if (os.cpu_count() or 1) < 2:
+        return {"skipped": "cpu_count == 1"}
     from repro.engine import EngineOptions, engine_options
     from repro.experiments import run_experiment
 
-    jobs = min(2, os.cpu_count() or 1)
+    jobs = 2
     timings = {}
     for label, n in (("serial_seconds", 1), ("parallel_seconds", jobs)):
         with engine_options(EngineOptions(jobs=n, cache_dir=None)):
@@ -460,13 +466,14 @@ def run_suite(quick: bool = False, log=print) -> dict:
 
     if not quick:
         engine = _time_engine_parallel("tiny")
-        engine["serial_normalized"] = norm(engine["serial_seconds"])
         metrics["engine_parallel"] = engine
-        log(
-            f"engine_parallel: serial {engine['serial_seconds']:.2f}s, "
-            f"{engine['jobs']} jobs {engine['parallel_seconds']:.2f}s "
-            f"-> {engine['speedup']:.2f}x"
-        )
+        if "skipped" not in engine:
+            engine["serial_normalized"] = norm(engine["serial_seconds"])
+            log(
+                f"engine_parallel: serial {engine['serial_seconds']:.2f}s, "
+                f"{engine['jobs']} jobs {engine['parallel_seconds']:.2f}s "
+                f"-> {engine['speedup']:.2f}x"
+            )
 
         import tempfile
 

@@ -22,9 +22,15 @@ from dataclasses import dataclass, field
 from repro.controller.queues import RequestQueues
 from repro.controller.request import MemoryRequest
 from repro.dram.address import AddressMapper
-from repro.dram.bank import RowBufferOutcome
+from repro.dram.bank import ROW_CLOSED, ROW_HIT, RowBufferOutcome
 from repro.dram.channel import Channel
-from repro.dram.commands import CommandCandidate, CommandKind
+from repro.dram.commands import (
+    ACTIVATE,
+    PRECHARGE,
+    READ,
+    WRITE,
+    CommandCandidate,
+)
 from repro.dram.timing import DramTiming
 from repro.schedulers.base import SchedulingPolicy
 
@@ -51,22 +57,32 @@ class _BankCandidateCache:
     The ``channel_ready`` bit of cached column candidates is a
     channel-global predicate of ``now`` and is rewritten in one sweep
     whenever its value flips (see ``MemoryController._fast_per_bank``).
+
+    ``per_bank`` keeps the last assembled per-bank dict until
+    ``per_bank_until``, the earliest expiry among the banks with queued
+    requests, or until a hook fires.  So a horizon analysis vetoed by
+    this channel builds it for the very tick that runs live next, which
+    reuses it, and so do the ticks after that while no bank changes.
     """
 
-    __slots__ = ("cands", "expires", "col_ready")
+    __slots__ = ("cands", "expires", "col_ready", "per_bank", "per_bank_until")
 
     def __init__(self, num_banks: int) -> None:
         self.cands: "list[list[CommandCandidate] | None]" = [None] * num_banks
         self.expires = [0] * num_banks
         self.col_ready = True
+        self.per_bank: "dict[int, list[CommandCandidate]] | None" = None
+        self.per_bank_until = 0
 
     def invalidate(self, bank_index: int) -> None:
         self.cands[bank_index] = None
+        self.per_bank = None
 
     def invalidate_all(self) -> None:
         cands = self.cands
         for bank_index in range(len(cands)):
             cands[bank_index] = None
+        self.per_bank = None
 
 
 @dataclass
@@ -134,9 +150,9 @@ class ThreadMemStats:
     def record_read(self, outcome: RowBufferOutcome, latency: int) -> None:
         self.reads_completed += 1
         self.total_read_latency += latency
-        if outcome is RowBufferOutcome.ROW_HIT:
+        if outcome is ROW_HIT:
             self.row_hits += 1
-        elif outcome is RowBufferOutcome.ROW_CLOSED:
+        elif outcome is ROW_CLOSED:
             self.row_closed += 1
         else:
             self.row_conflicts += 1
@@ -211,6 +227,8 @@ class MemoryController:
         self._next_seq = 0
         # Optional DRAM protocol sanitizer (repro.analysis.protocol).
         self.sanitizer = None
+        # Optional (thread_id, completed_at) callback, see set_read_listener.
+        self._read_listener = None
 
         # Event-kernel state.  The ``STFM_SIM_KERNEL`` choice is read
         # once, here: it selects the cached candidate scans and, in
@@ -239,6 +257,13 @@ class MemoryController:
         self.sanitizer = sanitizer
         for channel in self.channels:
             channel.sanitizer = sanitizer
+
+    def set_read_listener(self, listener) -> None:
+        """Call ``listener(thread_id, completed_at)`` whenever a read's
+        column command issues and so fixes when its data returns (the
+        event kernel wakes a sleeping core with it).  Writes are not
+        reported."""
+        self._read_listener = listener
 
     # -- request admission -------------------------------------------------
     def submit(self, request: MemoryRequest, now: int) -> bool:
@@ -364,7 +389,7 @@ class MemoryController:
             for request in queue:
                 kind = bank.next_command_for(request.coords.row)
                 if kind.is_column and request.is_write:
-                    kind = CommandKind.WRITE
+                    kind = WRITE
                 waiting_threads.add(request.thread_id)
                 if kind.is_column:
                     scan.waiting_column_threads.add(request.thread_id)
@@ -414,7 +439,7 @@ class MemoryController:
             bank = channel.banks[bank_index]
             kind = bank.next_command_for(request.coords.row)
             if kind.is_column:
-                kind = CommandKind.WRITE
+                kind = WRITE
             if not bank.is_ready(kind, now):
                 continue
             channel_ready = not kind.is_column or channel.column_ready(now)
@@ -488,9 +513,13 @@ class MemoryController:
                         if candidate.is_column:
                             candidate.channel_ready = col_ready
             cache.col_ready = col_ready
-        per_bank: dict[int, list[CommandCandidate]] = {}
+        per_bank = cache.per_bank
+        if per_bank is not None and now < cache.per_bank_until:
+            return per_bank
+        per_bank = {}
         expires = cache.expires
         banks = channel.banks
+        until = _NEVER
         for bank_index, queue in enumerate(queues.bank_queues):
             if not queue:
                 continue
@@ -501,8 +530,12 @@ class MemoryController:
                 )
                 cands[bank_index] = lst
                 expires[bank_index] = expiry
+            if expires[bank_index] < until:
+                until = expires[bank_index]
             if lst:
                 per_bank[bank_index] = lst
+        cache.per_bank = per_bank
+        cache.per_bank_until = until
         return per_bank
 
     def _rebuild_bank(
@@ -520,7 +553,7 @@ class MemoryController:
             for request in queue:
                 out.append(
                     CommandCandidate(
-                        CommandKind.ACTIVATE, request, bank_index, latency
+                        ACTIVATE, request, bank_index, latency
                     )
                 )
             return out, _NEVER
@@ -533,7 +566,7 @@ class MemoryController:
             if request.row == open_row:
                 out.append(
                     CommandCandidate(
-                        CommandKind.READ,
+                        READ,
                         request,
                         bank_index,
                         column_latency,
@@ -542,7 +575,7 @@ class MemoryController:
                 )
             elif ras_ok:
                 out.append(
-                    CommandCandidate(CommandKind.PRECHARGE, request, bank_index, rp)
+                    CommandCandidate(PRECHARGE, request, bank_index, rp)
                 )
             else:
                 expiry = ras_at
@@ -574,11 +607,11 @@ class MemoryController:
             open_row = bank.open_row
             if open_row is None:
                 candidate = CommandCandidate(
-                    CommandKind.ACTIVATE, request, bank_index, rcd
+                    ACTIVATE, request, bank_index, rcd
                 )
             elif open_row == request.row:
                 candidate = CommandCandidate(
-                    CommandKind.WRITE,
+                    WRITE,
                     request,
                     bank_index,
                     column_latency,
@@ -586,7 +619,7 @@ class MemoryController:
                 )
             elif now >= bank.activated_at + ras:
                 candidate = CommandCandidate(
-                    CommandKind.PRECHARGE, request, bank_index, rp
+                    PRECHARGE, request, bank_index, rp
                 )
             else:
                 continue
@@ -727,11 +760,9 @@ class MemoryController:
             bound = channel.data_bus_busy_until - self.timing.cl
         else:
             bound = _NEVER
-        expires = self._scan_caches[channel.index].expires
-        for bank_index, queue in enumerate(queues.bank_queues):
-            if queue and expires[bank_index] < bound:
-                bound = expires[bank_index]
-        return bound
+        # The earliest expiry among the queued banks' candidate lists.
+        until = self._scan_caches[channel.index].per_bank_until
+        return until if until < bound else bound
 
     def _write_quiet_bound(self, channel: Channel, queues, now: int) -> int:
         timing = self.timing
@@ -784,10 +815,10 @@ class MemoryController:
         # The issued bank's state (busy window, open row, queue
         # membership) changes below — drop its cached candidates.
         self._scan_caches[channel.index].invalidate(candidate.bank_index)
-        if kind is CommandKind.PRECHARGE:
+        if kind is PRECHARGE:
             channel.issue(bank, kind, request.coords.row, now)
             request.got_precharge = True
-        elif kind is CommandKind.ACTIVATE:
+        elif kind is ACTIVATE:
             channel.issue(bank, kind, request.coords.row, now)
             request.got_activate = True
         else:
@@ -805,6 +836,8 @@ class MemoryController:
                     self._in_service, (request.completed_at, request.thread_id)
                 )
                 self._bank_access_parallelism[request.thread_id] += 1
+                if self._read_listener is not None:
+                    self._read_listener(request.thread_id, request.completed_at)
             if self.page_policy == "closed":
                 # After the serviced request left the queue: close the row
                 # unless another request to it is still pending.

@@ -10,7 +10,7 @@ the row-buffer outcome at service time.
 from __future__ import annotations
 
 from repro.dram.address import DecodedAddress
-from repro.dram.bank import RowBufferOutcome
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowBufferOutcome
 
 
 class MemoryRequest:
@@ -88,10 +88,10 @@ class MemoryRequest:
         Only meaningful after the column command has been issued.
         """
         if self.got_precharge:
-            return RowBufferOutcome.ROW_CONFLICT
+            return ROW_CONFLICT
         if self.got_activate:
-            return RowBufferOutcome.ROW_CLOSED
-        return RowBufferOutcome.ROW_HIT
+            return ROW_CLOSED
+        return ROW_HIT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "W" if self.is_write else "R"

@@ -26,7 +26,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.registers import StfmRegisters
-from repro.dram.bank import RowBufferOutcome
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowBufferOutcome
 
 if TYPE_CHECKING:
     from repro.controller.controller import MemoryController, ScanInfo
@@ -134,11 +134,11 @@ class InterferenceEstimator:
         )
         alone_row = self.registers.last_row(thread, global_bank)
         if alone_row is None:
-            alone_outcome = RowBufferOutcome.ROW_CLOSED
+            alone_outcome = ROW_CLOSED
         elif alone_row == coords.row:
-            alone_outcome = RowBufferOutcome.ROW_HIT
+            alone_outcome = ROW_HIT
         else:
-            alone_outcome = RowBufferOutcome.ROW_CONFLICT
+            alone_outcome = ROW_CONFLICT
         actual_outcome = request.service_outcome()
         extra = self._outcome_latency(actual_outcome) - self._outcome_latency(
             alone_outcome
@@ -157,8 +157,8 @@ class InterferenceEstimator:
         pays ``tRP + tRCD`` (the paper's ``ExtraLatency``).
         """
         timing = self.controller.timing
-        if outcome is RowBufferOutcome.ROW_HIT:
+        if outcome is ROW_HIT:
             return 0
-        if outcome is RowBufferOutcome.ROW_CLOSED:
+        if outcome is ROW_CLOSED:
             return timing.rcd
         return timing.rp + timing.rcd

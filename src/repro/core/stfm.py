@@ -77,6 +77,7 @@ class StfmPolicy(SchedulingPolicy):
         )
         self.estimator: InterferenceEstimator | None = None
         self._tshared_source: Callable[[int], int] = lambda thread_id: 0
+        self._tshared_all: Callable[[], list[int]] = lambda: [0] * num_threads
         # Bound in bind(): the controller's per-thread queued-read
         # counts (read in place each cycle) and its DRAM cycle length.
         self._queued_reads: list[int] = []
@@ -100,9 +101,19 @@ class StfmPolicy(SchedulingPolicy):
             basis=self.interference_basis,
         )
 
-    def set_tshared_source(self, source: Callable[[int], int]) -> None:
-        """Wire the per-thread memory-stall counters of the cores."""
+    def set_tshared_source(
+        self,
+        source: Callable[[int], int],
+        counters: "Callable[[], list[int]] | None" = None,
+    ) -> None:
+        """Wire the per-thread memory-stall counters of the cores.
+
+        ``counters``, when given, returns a new list of every thread's
+        counter in one call; each DRAM cycle reads them all.
+        """
         self._tshared_source = source
+        threads = range(self.num_threads)
+        self._tshared_all = counters or (lambda: [source(t) for t in threads])
 
     # -- system-software interface (Section 3.3) -------------------------
     def set_alpha(self, alpha: float) -> None:
@@ -125,8 +136,7 @@ class StfmPolicy(SchedulingPolicy):
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
-        source = self._tshared_source
-        self._cycle([source(t) for t in range(self.num_threads)])
+        self._cycle(self._tshared_all())
 
     def fast_forward(self, start, ticks, stall_slopes) -> None:
         """Inert-window replay: run the per-cycle decision ``ticks`` times.
@@ -142,7 +152,7 @@ class StfmPolicy(SchedulingPolicy):
         """
         dram_cycle = self._dram_cycle
         threads = range(self.num_threads)
-        bases = [self._tshared_source(t) for t in threads]
+        bases = self._tshared_all()
         counters = list(bases)
         for tick in range(ticks):
             if tick:

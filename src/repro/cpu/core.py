@@ -134,14 +134,25 @@ class Core:
         self.snapshot: CoreSnapshot | None = None
 
     # -- fetch -----------------------------------------------------------
-    def _fetch(self, now: int) -> None:
+    def _fetch(self, now: int) -> bool:
+        """Fill the window from the trace, submitting misses and stores.
+
+        Returns True when fetch took no compute and stopped on something
+        only this core's own reads can release: a full window, the MLP
+        cap, or a dependent load waiting on ``_last_read``.  A full read
+        or write buffer (freed by other threads' commands too) and an
+        exhausted trace return False.
+        """
         cursor = self.cursor
         window = self._window
         window_size = self.window_size
         instrs = self._window_instrs
+        own = False
+        took_compute = False
         while instrs < window_size:
             compute_available = cursor.peek_compute()
             if compute_available:
+                took_compute = True
                 room = window_size - instrs
                 taken = cursor.take_compute(
                     room if room < compute_available else compute_available
@@ -172,9 +183,11 @@ class Core:
             if record.dependent and self._last_read is not None:
                 previous = self._last_read
                 if previous.completed_at is None or previous.completed_at > now:
+                    own = True
                     break  # pointer chase: wait for the previous load
             self.mshrs.release_completed(now)
             if len(self.mshrs) >= self.max_outstanding:
+                own = True
                 break  # MLP limit / all MSHRs busy; no further misses
             request = self.submit(self.core_id, record.address, False, now)
             if request is None:
@@ -185,20 +198,30 @@ class Core:
             cursor.take_memory()
             window.append([_MEMORY, request])
             instrs += 1
+        else:
+            own = True  # window full
         self._window_instrs = instrs
+        return own and not took_compute
 
     # -- execute ----------------------------------------------------------
-    def step(self, now: int, cycles: int) -> None:
-        """Advance the core by ``cycles`` CPU cycles starting at ``now``."""
+    def step(self, now: int, cycles: int) -> bool:
+        """Advance the core by ``cycles`` CPU cycles starting at ``now``.
+
+        Returns True when the core stalled on memory for the whole span
+        while its fetch was blocked on its own reads (see :meth:`_fetch`).
+        Until one of those reads is scheduled or returns, every later
+        step would only add to ``memory_stall_cycles``: the event kernel
+        lets such a core sleep until :meth:`wake_tick`.
+        """
         t = now
         end = now + cycles
         window = self._window
         width = self.commit_width
         while t < end:
-            self._fetch(t)
+            blocked = self._fetch(t)
             if not window:
                 self.idle_cycles += end - t
-                break
+                return False
             entry = window[0]
             if entry[0] == _COMPUTE:
                 remaining = entry[1]
@@ -226,9 +249,25 @@ class Core:
                 else:
                     wake = end if done_at is None else min(end, done_at)
                     self.memory_stall_cycles += wake - t
+                    if wake >= end:
+                        return blocked and t == now
                     t = wake
-                    if t >= end:
-                        break
+        return False
+
+    def wake_tick(self, since: int, quantum: int) -> int:
+        """The tick at which a core put to sleep by :meth:`step` at
+        ``since`` must step again: the quantum holding the earliest known
+        completion after ``since`` among its outstanding reads (``NEVER``
+        when none is scheduled yet).
+
+        Any own-read completion wakes the core, whether or not it frees
+        an MSHR (see :meth:`MshrFile.release_completed`).  Completions at
+        or before ``since`` were already seen by that step's fetch.
+        """
+        done_at = self.mshrs.earliest_completion(since)
+        if done_at is None:
+            return _NEVER
+        return done_at - done_at % quantum
 
     def _commit(self, count: int, now: int) -> None:
         self.committed_instructions += count

@@ -29,9 +29,14 @@ class MshrFile:
     def release_completed(self, now: int) -> None:
         """Free MSHRs whose requests have returned data by ``now``.
 
-        Requests complete near-FIFO per thread; the occasional
-        out-of-order completion is reclaimed by the full sweep that runs
-        when the file looks full.
+        Only completed requests at the head of the file are freed.  A
+        request that completed out of order keeps its slot until every
+        older one has completed too, or until the file reaches its full
+        ``capacity`` and a sweep frees every completed slot.  Cores stop
+        at their MLP cap, which is usually well below ``capacity`` (16,
+        10, 6 and 4 against 64 on perfbench's ``kernel`` mix), so there
+        the sweep never runs and out-of-order completions keep holding
+        slots (DESIGN.md §3.10).
         """
         outstanding = self._outstanding
         while outstanding:
@@ -46,6 +51,18 @@ class MshrFile:
                 for request in outstanding
                 if request.completed_at is None or request.completed_at > now
             )
+
+    def earliest_completion(self, after: int) -> "int | None":
+        """Earliest ``completed_at`` later than ``after`` among the held
+        requests; None when none is known yet."""
+        earliest = None
+        for request in self._outstanding:
+            done_at = request.completed_at
+            if done_at is not None and done_at > after and (
+                earliest is None or done_at < earliest
+            ):
+                earliest = done_at
+        return earliest
 
     def try_allocate(self, request: "MemoryRequest", now: int) -> bool:
         """Claim an MSHR for a new miss; False when all are busy."""

@@ -101,9 +101,12 @@ class TraceCursor:
         )
 
     def peek_compute(self) -> int:
-        """Compute instructions available before the next memory op."""
-        if self.exhausted:
-            return 0
+        """Compute instructions available before the next memory op.
+
+        An exhausted cursor has neither this nor a pending memory op: an
+        empty trace starts with both cleared, and only ``take_memory``,
+        which needs both drained, can run a non-looping trace out.
+        """
         return self._compute_left
 
     def take_compute(self, count: int) -> int:
@@ -114,7 +117,7 @@ class TraceCursor:
 
     def peek_memory(self) -> TraceRecord | None:
         """The pending memory operation, if the compute block is drained."""
-        if self.exhausted or self._compute_left > 0 or not self._mem_pending:
+        if self._compute_left > 0 or not self._mem_pending:
             return None
         return self.trace.records[self._index]
 

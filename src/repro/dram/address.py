@@ -13,7 +13,7 @@ row-buffer locality and bank-access balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _bit_length_of_power_of_two(value: int, name: str) -> int:
@@ -22,9 +22,12 @@ def _bit_length_of_power_of_two(value: int, name: str) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """DRAM coordinates of one cache line."""
+class DecodedAddress(NamedTuple):
+    """DRAM coordinates of one cache line.
+
+    A named tuple, not a frozen dataclass: every submit decodes one, and
+    a frozen dataclass takes several times as long to build.
+    """
 
     channel: int
     bank: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.dram.commands import CommandKind
+from repro.dram.commands import ACTIVATE, PRECHARGE, READ, CommandKind
 from repro.dram.timing import DramTiming
 
 
@@ -21,6 +21,12 @@ class RowBufferOutcome(enum.IntEnum):
     ROW_HIT = 0
     ROW_CLOSED = 1
     ROW_CONFLICT = 2
+
+
+# The members as module constants (see the note in ``commands.py``).
+ROW_HIT = RowBufferOutcome.ROW_HIT
+ROW_CLOSED = RowBufferOutcome.ROW_CLOSED
+ROW_CONFLICT = RowBufferOutcome.ROW_CONFLICT
 
 
 class Bank:
@@ -46,10 +52,10 @@ class Bank:
     def classify(self, row: int) -> RowBufferOutcome:
         """Classify an access to ``row`` against the current row buffer."""
         if self.open_row is None:
-            return RowBufferOutcome.ROW_CLOSED
+            return ROW_CLOSED
         if self.open_row == row:
-            return RowBufferOutcome.ROW_HIT
-        return RowBufferOutcome.ROW_CONFLICT
+            return ROW_HIT
+        return ROW_CONFLICT
 
     def next_command_for(self, row: int) -> CommandKind:
         """Which command a request for ``row`` needs next.
@@ -58,18 +64,18 @@ class Bank:
         returns READ as the generic column placeholder.
         """
         outcome = self.classify(row)
-        if outcome is RowBufferOutcome.ROW_HIT:
-            return CommandKind.READ
-        if outcome is RowBufferOutcome.ROW_CLOSED:
-            return CommandKind.ACTIVATE
-        return CommandKind.PRECHARGE
+        if outcome is ROW_HIT:
+            return READ
+        if outcome is ROW_CLOSED:
+            return ACTIVATE
+        return PRECHARGE
 
     def command_latency(self, kind: CommandKind) -> int:
         """Bank service latency of a command, in CPU cycles."""
         timing = self.timing
-        if kind is CommandKind.PRECHARGE:
+        if kind is PRECHARGE:
             return timing.rp
-        if kind is CommandKind.ACTIVATE:
+        if kind is ACTIVATE:
             return timing.rcd
         return timing.cl + timing.burst
 
@@ -81,10 +87,10 @@ class Bank:
         """
         if now < self.busy_until:
             return False
-        if kind is CommandKind.PRECHARGE:
+        if kind is PRECHARGE:
             # A row may only be closed tRAS after it was opened.
             return self.open_row is None or now >= self.activated_at + self.timing.ras
-        if kind is CommandKind.ACTIVATE:
+        if kind is ACTIVATE:
             return self.open_row is None
         # Column access requires a matching open row; the caller guarantees
         # the row matches (candidates are rebuilt every cycle).
@@ -92,10 +98,10 @@ class Bank:
 
     def apply(self, kind: CommandKind, row: int, now: int) -> None:
         """Issue ``kind`` to the bank and advance its state."""
-        if kind is CommandKind.PRECHARGE:
+        if kind is PRECHARGE:
             self.open_row = None
             self.busy_until = now + self.timing.rp
-        elif kind is CommandKind.ACTIVATE:
+        elif kind is ACTIVATE:
             self.open_row = row
             self.activated_at = now
             self.busy_until = now + self.timing.rcd

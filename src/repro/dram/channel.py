@@ -9,7 +9,7 @@ one burst, ``[issue + tCL, issue + tCL + tBurst)``.
 from __future__ import annotations
 
 from repro.dram.bank import Bank
-from repro.dram.commands import CommandKind
+from repro.dram.commands import READ, CommandKind
 from repro.dram.timing import DramTiming
 
 
@@ -61,7 +61,7 @@ class Channel:
         self.last_command_cycle = now
         self.commands_issued[kind] += 1
         bank.apply(kind, row, now)
-        if kind.is_column:
+        if kind >= READ:  # a column command
             data_end = now + self.timing.cl + self.timing.burst
             self.data_bus_busy_until = data_end
             self.data_bus_busy_cycles += self.timing.burst

@@ -29,7 +29,17 @@ class CommandKind(enum.IntEnum):
     @property
     def is_column(self) -> bool:
         """True for READ/WRITE (the "column accesses" of FR-FCFS)."""
-        return self in (CommandKind.READ, CommandKind.WRITE)
+        return self >= READ
+
+
+# The members as module constants.  On CPython 3.11 reading a member
+# through its class (``CommandKind.READ``) costs about ten global
+# lookups, and the controller names a kind for every candidate it builds
+# and every command it issues.
+PRECHARGE = CommandKind.PRECHARGE
+ACTIVATE = CommandKind.ACTIVATE
+READ = CommandKind.READ
+WRITE = CommandKind.WRITE
 
 
 class CommandCandidate:
@@ -82,7 +92,7 @@ class CommandCandidate:
         self.bank_index = bank_index
         self.latency = latency
         self.channel_ready = channel_ready
-        self.is_column = kind >= CommandKind.READ
+        self.is_column = kind >= READ
         self.thread_id = request.thread_id
         self.arrival = request.arrival
 

@@ -129,11 +129,12 @@ class SchedulingPolicy:
         """
         best: CommandCandidate | None = None
         best_key = None
+        priority_key = self.priority_key
         for candidates in per_bank.values():
             winner: CommandCandidate | None = None
             winner_key = None
             for candidate in candidates:
-                key = self.priority_key(candidate, now)
+                key = priority_key(candidate, now)
                 if winner is None or key > winner_key:
                     winner = candidate
                     winner_key = key

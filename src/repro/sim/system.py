@@ -102,10 +102,25 @@ class CmpSystem:
             self.controller.attach_sanitizer(self.sanitizer)
         # Wire STFM's Tshared source: the cores' memory-stall counters
         # (the paper communicates these with every memory request).
+        cores = self.cores
         if hasattr(policy, "set_tshared_source"):
             policy.set_tshared_source(
-                lambda thread_id: self.cores[thread_id].memory_stall_cycles
+                lambda thread_id: cores[thread_id].memory_stall_cycles,
+                lambda: [core.memory_stall_cycles for core in cores],
             )
+        # Sleeping cores (event kernel): core i is not stepped at ticks
+        # before _wake[i]; a read of thread i being scheduled lowers it.
+        self._wake = [0] * len(cores)
+        self._quantum = config.timing.dram_cycle
+        if self.controller._fast_path:
+            self.controller.set_read_listener(self._wake_on_read)
+        # Kernel counters (kept off result payloads, which must not
+        # depend on the kernel): ticks run live and replayed by jumps,
+        # core-ticks stepped and core-ticks spent asleep.
+        self.live_ticks = 0
+        self.jumped_ticks = 0
+        self.core_steps = 0
+        self.core_sleeps = 0
         self.now = 0
 
     def _submit(
@@ -115,6 +130,13 @@ class CmpSystem:
         if self.controller.submit(request, now):
             return request
         return None
+
+    def _wake_on_read(self, thread_id: int, completed_at: int) -> None:
+        """A read of ``thread_id`` was scheduled: wake its core, if it
+        sleeps, in the quantum where the data returns."""
+        tick = completed_at - completed_at % self._quantum
+        if tick < self._wake[thread_id]:
+            self._wake[thread_id] = tick
 
     def _on_core_snapshot(self, core: Core) -> None:
         """O(1) finish detection: count budget crossings as they happen
@@ -137,8 +159,14 @@ class CmpSystem:
         ``fast_forward``, the cores' counters via ``bulk_advance`` /
         ``advance_compute``, and the write-drain hysteresis via
         ``fast_forward_drain`` — bit-identical to having ticked.  The
-        *naive* kernel (``STFM_SIM_KERNEL=naive``, fixed when the
-        controller is built) is the same loop with jumps off.
+        event kernel also lets a core sleep: after a step that stalled
+        the whole quantum on its own reads (``Core.step`` returns True),
+        the core is not stepped again before ``Core.wake_tick``, lowered
+        by ``_wake_on_read`` when one of its reads is scheduled, and
+        accrues the quantum's stall cycles directly, so every counter
+        stays exact on every tick.  The *naive* kernel
+        (``STFM_SIM_KERNEL=naive``, fixed when the controller is built)
+        is the same loop with jumps and sleeps off.
 
         Args:
             sampler: Optional observer with a ``period`` (CPU cycles) and
@@ -156,9 +184,11 @@ class CmpSystem:
         max_cycles = self.config.max_cycles
         num_cores = len(cores)
         jumps = controller._fast_path
+        wake = self._wake
         now = self.now
         next_sample = limit = now if sampler is not None else max_cycles
         states: list[str | None] = [None] * num_cores
+        live = jumped = steps = 0
         while now < max_cycles:
             if now >= next_sample:
                 sampler.sample(now)
@@ -166,8 +196,14 @@ class CmpSystem:
                 limit = min(max_cycles, -(-next_sample // quantum) * quantum)
             issued_before = controller.commands_issued
             controller.tick(now)
-            for core in cores:
-                core.step(now, quantum)
+            live += 1
+            for i, core in enumerate(cores):
+                if wake[i] > now:
+                    core.memory_stall_cycles += quantum
+                    continue
+                steps += 1
+                if core.step(now, quantum) and jumps:
+                    wake[i] = core.wake_tick(now, quantum)
             now += quantum
             if self._finished >= num_cores:
                 break
@@ -191,6 +227,7 @@ class CmpSystem:
                     else:
                         core.bulk_advance(state, span)
                 controller.fast_forward_drain(ticks)
+                jumped += ticks
                 now += span
                 if self._finished >= num_cores:
                     # The last budget crossing can land exactly on the
@@ -198,6 +235,10 @@ class CmpSystem:
                     # a tick-by-tick run does, not one live tick later.
                     break
         self.now = now
+        self.live_ticks += live
+        self.jumped_ticks += jumped
+        self.core_steps += steps
+        self.core_sleeps += live * num_cores - steps
         if sampler is not None:
             sampler.sample(now)
         return [core.force_snapshot(now) for core in cores]
@@ -234,7 +275,15 @@ class CmpSystem:
             if bound < horizon:
                 horizon = bound
         uses_slopes = controller.policy.uses_stall_slopes
+        wake = self._wake
         for i, core in enumerate(self.cores):
+            bound = wake[i]
+            if bound > now:
+                # Asleep: stalled, and no submit before it wakes.
+                states[i] = "stall"
+                if bound < horizon:
+                    horizon = bound
+                continue
             state, bound = core.inertia(now)
             if state is None:
                 return now

@@ -13,10 +13,12 @@ command stream the protocol sanitizer observes.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 import pytest
 
 from repro.analysis.protocol import ProtocolSanitizer
+from repro.dram.timing import DramTiming
 from repro.engine.jobs import build_trace
 from repro.schedulers import make_policy
 from repro.sim.config import SystemConfig
@@ -71,19 +73,25 @@ def simulate(
     policy_kwargs: "dict | None" = None,
     max_cycles: int = SystemConfig.max_cycles,
     sample_period: "int | None" = None,
+    read_capacity: int = 128,
+    before_run: "Callable[[CmpSystem], None] | None" = None,
+    timing: "DramTiming | None" = None,
 ) -> dict:
     """Run one workload under ``kernel`` and fingerprint everything.
 
     With ``sample_period`` the run carries a telemetry sampler, and its
-    samples join the fingerprint.
+    samples join the fingerprint.  ``before_run`` is called with the
+    built system just before it runs.
     """
     monkeypatch.setenv(KERNEL_ENV, kernel)
     assert kernel_name() == kernel
     config = SystemConfig(
         num_cores=len(specs),
         refresh_enabled=refresh,
+        read_capacity=read_capacity,
         write_capacity=write_capacity,
         max_cycles=max_cycles,
+        **({} if timing is None else {"timing": timing}),
     )
     traces = [
         build_trace(config, seed, spec, budget, i, len(specs))
@@ -98,6 +106,8 @@ def simulate(
     sampler = None
     if sample_period is not None:
         sampler = TelemetrySampler(system, period=sample_period)
+    if before_run is not None:
+        before_run(system)
     snapshots = system.run(sampler=sampler)
     controller = system.controller
     fingerprint = {
@@ -454,3 +464,199 @@ def test_kernel_is_chosen_when_the_system_is_built(monkeypatch):
     monkeypatch.setattr(MemoryController, "tick", counting)
     system.run()
     assert ticks == list(range(0, system.now, config.timing.dram_cycle))
+
+
+# -- sleeping cores -------------------------------------------------------------
+
+
+def _kernel_mix_system(kernel: str, monkeypatch, budget: int) -> CmpSystem:
+    """perfbench's ``kernel`` mix (4-core STFM, seed 1) at ``budget``."""
+    from repro.engine.jobs import resolve_spec
+    from repro.sim.runner import ExperimentRunner
+
+    monkeypatch.setenv(KERNEL_ENV, kernel)
+    config = SystemConfig(num_cores=4)
+    runner = ExperimentRunner(config, instruction_budget=budget, seed=1)
+    specs = [
+        resolve_spec(name) for name in ("mcf", "libquantum", "GemsFDTD", "astar")
+    ]
+    traces = [runner.trace_for(spec, i, 4) for i, spec in enumerate(specs)]
+    return CmpSystem(
+        config,
+        traces,
+        make_policy("stfm", num_threads=4),
+        [runner.budget_for(spec) for spec in specs],
+        mlp_limits=[spec.mlp for spec in specs],
+    )
+
+
+def test_stalled_cores_sleep_on_the_kernel_mix(monkeypatch):
+    """The event kernel steps a core stalled on its own reads only when
+    one of them is scheduled or returns; the naive kernel steps every
+    core on every tick.  Tick counts and results do not change."""
+    runs = {}
+    for kernel in ("event", "naive"):
+        system = _kernel_mix_system(kernel, monkeypatch, budget=2_000)
+        runs[kernel] = (system, system.run())
+    event, naive = runs["event"][0], runs["naive"][0]
+    assert runs["event"][1] == runs["naive"][1]
+    assert event.now == naive.now
+    cores = len(event.cores)
+    assert event.core_steps < 0.25 * cores * event.live_ticks
+    assert event.core_steps + event.core_sleeps == cores * event.live_ticks
+    assert naive.core_steps == cores * naive.live_ticks
+    assert naive.core_sleeps == 0
+    assert naive.jumped_ticks == 0
+    assert event.live_ticks + event.jumped_ticks == naive.live_ticks
+
+
+def _block_reason(core, now: int) -> str:
+    """Why the fetch of a core that stalled the whole quantum from
+    ``now`` stopped, checked in the order ``Core._fetch`` checks."""
+    if core._window_instrs >= core.window_size:
+        return "window"
+    record = core.cursor.peek_memory()
+    if record is None:
+        return "trace"
+    if record.is_write:
+        return "write buffer"
+    last = core._last_read
+    if record.dependent and last is not None and (
+        last.completed_at is None or last.completed_at > now
+    ):
+        return "dependent"
+    if len(core.mshrs) >= core.max_outstanding:
+        return "mlp"
+    return "read buffer"
+
+
+class BlockRecorder:
+    """Records why cores fell asleep, and which whole-quantum stalls ran
+    into a full request buffer, without changing what a step does."""
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.cpu.core import Core
+
+        self.sleeps: dict[str, int] = {}
+        self.buffer_full_stalls = 0
+        self.buffer_full_sleeps = 0
+        self._rejected: set[int] = set()
+        original = Core.step
+
+        def step(core, now, cycles):
+            self._rejected.discard(core.core_id)
+            stall = core.memory_stall_cycles
+            sleeps = original(core, now, cycles)
+            if core.core_id in self._rejected and (
+                core.memory_stall_cycles - stall == cycles
+            ):
+                self.buffer_full_stalls += 1
+                self.buffer_full_sleeps += sleeps
+            if sleeps:
+                reason = _block_reason(core, now)
+                self.sleeps[reason] = self.sleeps.get(reason, 0) + 1
+            return sleeps
+
+        monkeypatch.setattr(Core, "step", step)
+
+    def attach(self, system: CmpSystem) -> None:
+        for core in system.cores:
+            def submit(thread_id, address, is_write, now, inner=core.submit):
+                request = inner(thread_id, address, is_write, now)
+                if request is None:
+                    self._rejected.add(thread_id)
+                return request
+
+            core.submit = submit
+
+
+def _blocking_spec(name: str, **overrides) -> BenchmarkSpec:
+    fields = dict(
+        name=name, itype="SYN", mcpi=4.0, mpki=40.0, rb_hit_rate=0.5,
+        category=2, burstiness=0.0, dependence=0.0, mlp=8,
+        write_fraction=0.0,
+    )
+    fields.update(overrides)
+    return BenchmarkSpec(**fields)
+
+
+#: Mixes that reach each way a core's fetch can block: (specs, run
+#: options, the block reason the cores must sleep on — None where they
+#: must not sleep on it).
+BLOCK_MIXES = {
+    # Sparse misses: compute fills the window behind a missing head.
+    "window": (
+        [_blocking_spec(f"sparse-{i}", mpki=3.0) for i in range(2)],
+        {"budget": 20_000},
+        "window",
+    ),
+    "mlp": (
+        [_blocking_spec(f"serial-{i}") for i in range(2)],
+        {"mlp_limits": [1, 1]},
+        "mlp",
+    ),
+    "dependent": (
+        [_blocking_spec(f"chase-{i}", dependence=1.0) for i in range(2)],
+        {},
+        "dependent",
+    ),
+    "write buffer": (
+        [_blocking_spec(f"writer-{i}", write_fraction=1.0) for i in range(4)],
+        {"write_capacity": 4},
+        None,
+    ),
+    # Three cores may hold 24 reads; the buffer takes 8.
+    "read buffer": (
+        [_blocking_spec(f"reader-{i}") for i in range(3)],
+        {"read_capacity": 8},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+@pytest.mark.parametrize("block", list(BLOCK_MIXES))
+def test_each_way_to_block_bit_identical(monkeypatch, policy_name, block):
+    """A core sleeps on a full window, its MLP cap or a dependent load,
+    which only its own reads release; never on a full read or write
+    buffer, which other threads' commands free too.  Either way the
+    event kernel matches the naive one."""
+    specs, options, sleeps_on = BLOCK_MIXES[block]
+    options = {"budget": 1_500, **options}
+    systems = []
+    with monkeypatch.context() as patch:
+        recorder = BlockRecorder(patch)
+
+        def before_run(system):
+            recorder.attach(system)
+            systems.append(system)
+
+        event = simulate(
+            patch, "event", specs, policy_name, before_run=before_run,
+            **options,
+        )
+    naive = simulate(monkeypatch, "naive", specs, policy_name, **options)
+    assert event == naive
+    assert set(recorder.sleeps) <= {"window", "mlp", "dependent"}
+    assert recorder.buffer_full_sleeps == 0
+    if sleeps_on is None:
+        assert recorder.buffer_full_stalls > 0
+    else:
+        assert recorder.sleeps.get(sleeps_on, 0) > 0
+        assert systems[0].core_sleeps > 0
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_mid_quantum_completions_bit_identical(monkeypatch, policy_name):
+    """With the default DDR2 timing every read completes on a quantum
+    boundary.  A 45-cycle controller overhead moves completions inside a
+    quantum, where a sleeping core must wake in the quantum that holds
+    the completion (its floor), not the one after."""
+    rng = random.Random(6000 + POLICIES.index(policy_name))
+    specs = [random_spec(rng, f"odd-{i}") for i in range(3)]
+    timing = DramTiming(t_overhead_ns=11.25)
+    assert timing.overhead % timing.dram_cycle
+    assert_identical(
+        monkeypatch, specs, policy_name, timing=timing,
+        mlp_limits=[rng.randint(1, 8) for _ in range(3)],
+    )
