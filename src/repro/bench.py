@@ -5,27 +5,23 @@ Runs a pinned suite of performance probes and writes a machine-normalized
 story of the codebase is a *trajectory* of committed files rather than
 numbers in commit messages:
 
-* ``bench_fig03`` — cold and warm wall time of the fig3 experiment (the
-  repo's canonical workload), under both the event-driven and the naive
-  kernel; their ratio is the headline ``kernel_speedup``.
 * ``throughput_100k`` / ``throughput_1m`` — raw simulated instructions
   per second of a single 4-core shared run at 100k and 1M instruction
-  budgets (the 1M run is the ROADMAP's north-star budget).
+  budgets (the 1M run is the ROADMAP's north-star budget), under both
+  the event-driven and the naive kernel; their ratio is the headline
+  ``kernel_speedup``.
 * ``per_policy_kernel_cost`` — event-kernel wall time of one 4-core
   shared run under *every* registered scheduling policy (extensions
-  included), so a policy whose state machine defeats the kernel's
-  inert-window skipping shows up as an outlier in the trajectory.
+  included), so a policy whose per-cycle work is out of line with the
+  others shows up as an outlier in the trajectory.
 * ``engine_parallel`` — speedup of the experiment engine's process pool
   over its serial path on a small batch.
-* ``service_round_trip`` — submit-to-result latency of a tiny job
-  through the HTTP simulation service on a loopback socket.
 * ``submit_storm`` — per-submit POST latency percentiles (p50/p90/max)
   for a burst of distinct jobs against the service, plus the wall time
   to drain the whole burst.
-* ``cluster_throughput`` — jobs/second of a local coordinator +
-  3-runner cluster (subprocesses, store proxy) over the same burst,
-  with the duplicate-put count recorded (must be 0: every sub-job
-  simulated exactly once across the cluster).
+
+The fig3 wall time, the service round trip and cluster throughput are
+timed by the three-workload benchmark in ``perfbench/`` instead.
 
 Machine normalization: every timing also carries ``normalized`` =
 seconds / ``calibration_seconds``, where the calibration is a fixed
@@ -116,21 +112,6 @@ def _with_kernel(kernel: str):
     return _ctx()
 
 
-def _time_fig3(kernel: str, repeats: int, scale: str) -> "tuple[float, float]":
-    """(cold, warm-best) wall seconds of the fig3 experiment."""
-    from repro.engine import EngineOptions, engine_options
-    from repro.experiments import fig03
-
-    times = []
-    with _with_kernel(kernel):
-        with engine_options(EngineOptions(jobs=1, cache_dir=None)):
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                fig03.run(scale)
-                times.append(time.perf_counter() - t0)
-    return times[0], min(times)
-
-
 def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
     """(wall seconds, instructions committed) of one 4-core shared run."""
     from repro.engine.jobs import resolve_spec
@@ -142,8 +123,8 @@ def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
     with _with_kernel(kernel):
         # Construct inside the kernel context: the kernel is chosen once
         # per system, when its controller is built (cached scans and
-        # jumps vs the naive per-cycle loop), and the probe must time
-        # the kernel it claims to.
+        # sleeping cores vs the naive per-cycle loop), and the probe
+        # must time the kernel it claims to.
         config = SystemConfig(num_cores=len(_THROUGHPUT_WORKLOAD))
         runner = ExperimentRunner(config, instruction_budget=budget)
         specs = [resolve_spec(name) for name in _THROUGHPUT_WORKLOAD]
@@ -167,8 +148,8 @@ def _time_per_policy(budget: int) -> dict:
 
     Traces are built once and shared (they are immutable); each policy
     gets a fresh system.  The per-policy numbers expose schedulers whose
-    state machines defeat the event kernel's inert-window skipping; the
-    total is the cross-snapshot comparison quantity.
+    per-cycle work is out of line with the others; the total is the
+    cross-snapshot comparison quantity.
     """
     from repro.engine.jobs import resolve_spec
     from repro.schedulers import make_policy
@@ -233,56 +214,10 @@ def _time_engine_parallel(scale: str) -> dict:
     return timings
 
 
-def _time_service_round_trip(tmp_dir: str) -> float:
-    """Submit-to-result seconds for a tiny job over loopback HTTP."""
-    import asyncio
-    import threading
-
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, SimulationService
-
-    service = SimulationService(
-        ServiceConfig(
-            host="127.0.0.1",
-            port=0,
-            workers=1,
-            queue_limit=8,
-            cache_dir=None,
-            state_dir=os.path.join(tmp_dir, "state"),
-        )
-    )
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    try:
-        asyncio.run_coroutine_threadsafe(service.start(), loop).result(30)
-        client = ServiceClient(f"http://127.0.0.1:{service.port}")
-        spec = {
-            "kind": "workload",
-            "benchmarks": ["mcf", "hmmer"],
-            "policy": "fr-fcfs",
-            "budget": 1_500,
-        }
-        t0 = time.perf_counter()
-        view = client.submit(spec)
-        view = client.wait(view["id"], timeout=120)
-        elapsed = time.perf_counter() - t0
-        if view["status"] != "done":
-            raise RuntimeError(f"service round-trip failed: {view}")
-        return elapsed
-    finally:
-        asyncio.run_coroutine_threadsafe(service.drain_and_stop(), loop).result(
-            120
-        )
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        loop.close()
-
-
 def _storm_specs(count: int, budget: int = 1_500) -> "list[dict]":
     """``count`` distinct tiny workload specs (seed-disjoint, so their
-    sub-job cache keys never overlap — any duplicate simulation across
-    the cluster is then a real redundancy, not shared work)."""
+    sub-job cache keys never overlap and no job is served from another's
+    results)."""
     return [
         {
             "kind": "workload",
@@ -358,49 +293,6 @@ def _time_submit_storm(tmp_dir: str, count: int = 16) -> dict:
         loop.close()
 
 
-def _time_cluster_throughput(
-    tmp_dir: str, runners: int = 3, count: int = 9
-) -> dict:
-    """Jobs/second of a local subprocess cluster draining a burst."""
-    from repro.cluster.supervisor import LocalCluster
-    from repro.service.client import ServiceClient, parse_metrics
-
-    cluster = LocalCluster(
-        runners=runners,
-        cache_dir=os.path.join(tmp_dir, "cluster-cache"),
-        state_dir=os.path.join(tmp_dir, "cluster-state"),
-        lease_ttl=15.0,
-        queue_limit=count,
-        poll=0.05,
-    )
-    with cluster:
-        client = ServiceClient(cluster.url)
-        t0 = time.perf_counter()
-        views = [client.submit(spec) for spec in _storm_specs(count)]
-        for view in views:
-            done = client.wait(view["id"], timeout=300)
-            if done["status"] != "done":
-                raise RuntimeError(f"cluster job failed: {done}")
-        wall = time.perf_counter() - t0
-        metrics = parse_metrics(client.metrics())
-        duplicate_puts = metrics.get(
-            "stfm_store_proxy_duplicate_puts_total", 0.0
-        )
-        runners_used = sum(
-            1
-            for name in metrics
-            if name.startswith("stfm_cluster_leases_granted_total")
-        )
-    return {
-        "runners": runners,
-        "jobs": count,
-        "wall_seconds": wall,
-        "jobs_per_second": count / wall,
-        "duplicate_puts": duplicate_puts,
-        "runners_used": runners_used,
-    }
-
-
 # -- suite -------------------------------------------------------------------
 
 
@@ -413,24 +305,6 @@ def run_suite(quick: bool = False, log=print) -> dict:
         return seconds / calibration
 
     metrics: dict = {}
-
-    scale = "tiny" if quick else "small"
-    repeats = 2 if quick else 3
-    cold_e, warm_e = _time_fig3("event", repeats, scale)
-    cold_n, warm_n = _time_fig3("naive", repeats, scale)
-    metrics["bench_fig03"] = {
-        "scale": scale,
-        "cold_seconds": cold_e,
-        "warm_seconds": warm_e,
-        "naive_warm_seconds": warm_n,
-        "kernel_speedup": warm_n / warm_e,
-        "warm_normalized": norm(warm_e),
-    }
-    log(
-        f"bench_fig03 ({scale}): event {warm_e:.2f}s warm "
-        f"(cold {cold_e:.2f}s), naive {warm_n:.2f}s "
-        f"-> kernel speedup {warm_n / warm_e:.2f}x"
-    )
 
     budgets = [("throughput_100k", 100_000)]
     if not quick:
@@ -478,14 +352,6 @@ def run_suite(quick: bool = False, log=print) -> dict:
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp_dir:
-            rtt = _time_service_round_trip(tmp_dir)
-        metrics["service_round_trip"] = {
-            "seconds": rtt,
-            "normalized": norm(rtt),
-        }
-        log(f"service_round_trip: {rtt:.2f}s")
-
-        with tempfile.TemporaryDirectory() as tmp_dir:
             storm = _time_submit_storm(tmp_dir)
         storm["normalized"] = norm(storm["drain_seconds"])
         storm["submit_p50_normalized"] = norm(storm["submit_p50_seconds"])
@@ -496,18 +362,6 @@ def run_suite(quick: bool = False, log=print) -> dict:
             f"{storm['submit_p90_seconds'] * 1e3:.1f}ms max "
             f"{storm['submit_max_seconds'] * 1e3:.1f}ms; drained in "
             f"{storm['drain_seconds']:.2f}s"
-        )
-
-        with tempfile.TemporaryDirectory() as tmp_dir:
-            cluster = _time_cluster_throughput(tmp_dir)
-        cluster["normalized"] = norm(cluster["wall_seconds"])
-        metrics["cluster_throughput"] = cluster
-        log(
-            f"cluster_throughput: {cluster['jobs']} jobs on "
-            f"{cluster['runners']} runners in "
-            f"{cluster['wall_seconds']:.2f}s "
-            f"({cluster['jobs_per_second']:.2f} jobs/s, "
-            f"{cluster['duplicate_puts']:.0f} duplicate puts)"
         )
 
     from repro.sim.kernel import kernel_name
@@ -592,12 +446,6 @@ def check_failures(payload: dict) -> "list[str]":
             failures.append(
                 f"{key}: event kernel slower than naive ({speedup:.2f}x)"
             )
-    cluster = payload.get("metrics", {}).get("cluster_throughput")
-    if cluster and cluster.get("duplicate_puts"):
-        failures.append(
-            f"cluster_throughput: {cluster['duplicate_puts']:.0f} "
-            f"duplicate store puts (a sub-job was simulated twice)"
-        )
     comparison = payload.get("comparison")
     if comparison:
         failures.extend(comparison.get("regressions", []))

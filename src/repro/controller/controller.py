@@ -60,9 +60,8 @@ class _BankCandidateCache:
 
     ``per_bank`` keeps the last assembled per-bank dict until
     ``per_bank_until``, the earliest expiry among the banks with queued
-    requests, or until a hook fires.  So a horizon analysis vetoed by
-    this channel builds it for the very tick that runs live next, which
-    reuses it, and so do the ticks after that while no bank changes.
+    requests, or until a hook fires, so the ticks that follow reuse it
+    while no bank changes.
     """
 
     __slots__ = ("cands", "expires", "col_ready", "per_bank", "per_bank_until")
@@ -232,7 +231,7 @@ class MemoryController:
 
         # Event-kernel state.  The ``STFM_SIM_KERNEL`` choice is read
         # once, here: it selects the cached candidate scans and, in
-        # ``CmpSystem.run``, inert-window jumps; the naive path is the
+        # ``CmpSystem.run``, sleeping cores; the naive path is the
         # bit-identical differential-testing oracle (DESIGN.md §3.14).
         # The caches stay coherent on both paths (the invalidation hooks
         # in submit/_issue/_refresh are O(1) and unconditional).
@@ -285,18 +284,6 @@ class MemoryController:
         if accepted:
             self.policy.on_enqueue(request, now)
         return accepted
-
-    def can_accept(self, thread_id: int, address: int, is_write: bool) -> bool:
-        """Whether a submit for ``address`` would be admitted right now.
-
-        Side-effect-free fullness probe used by the cores' quiescence
-        check (a fetch blocked on a full buffer stays blocked until a
-        command issues, which bounds how far the event kernel may jump).
-        """
-        queues = self.queues.channels[self.mapper.decode(address).channel]
-        if is_write:
-            return not queues.writes_full()
-        return not queues.reads_full()
 
     def make_request(
         self, thread_id: int, address: int, is_write: bool, now: int
@@ -362,18 +349,17 @@ class MemoryController:
         self._issue(channel, candidate, scan, now)
 
     def _update_drain_mode(self, channel_index: int, queues) -> bool:
-        draining = self._drain_next(
-            self._draining[channel_index], queues.read_count, queues.write_count
-        )
-        self._draining[channel_index] = draining
-        return draining
-
-    def _drain_next(self, draining: bool, reads: int, writes: int) -> bool:
         """One write-drain mode transition: drain from the high watermark
         (or whenever no reads wait) down to the low watermark."""
-        if draining:
-            return writes > self.write_drain_low
-        return writes >= self.write_drain_high or (reads == 0 and writes > 0)
+        writes = queues.write_count
+        if self._draining[channel_index]:
+            draining = writes > self.write_drain_low
+        else:
+            draining = writes >= self.write_drain_high or (
+                queues.read_count == 0 and writes > 0
+            )
+        self._draining[channel_index] = draining
+        return draining
 
     def _scan_reads(self, channel: Channel, queues, now: int):
         """Build ready read candidates and the STFM scan side-info."""
@@ -704,106 +690,9 @@ class MemoryController:
             }
         return scan
 
-    # -- inert-window analysis (event kernel) --------------------------------
-
-    def channel_quiet_bound(self, channel: Channel, now: int, quantum: int) -> int:
-        """First tick >= ``now`` at which scheduling this channel could
-        issue or build a candidate, assuming no external events (no
-        enqueue, no refresh) until then.  Returns ``now`` itself when the
-        channel is not provably quiet.
-
-        With frozen queue counts the drain-mode trajectory is exact (it
-        either reaches a fixed point after one transition or alternates
-        every tick when ``reads == 0 < writes <= write_drain_low``); the
-        bound must hold under every mode the trajectory visits.
-        """
-        queues = self.queues.channels[channel.index]
-        reads = queues.read_count
-        writes = queues.write_count
-        state = self._drain_next(self._draining[channel.index], reads, writes)
-        later = self._drain_next(state, reads, writes)
-        modes = (state,) if later == state else (state, later)
-        horizon = _NEVER
-        for mode in modes:
-            if mode:
-                bound = self._write_quiet_bound(channel, queues, now)
-            else:
-                bound = self._read_quiet_bound(channel, queues, now)
-            if bound <= now:
-                return now
-            if bound < horizon:
-                horizon = bound
-        if horizon >= _NEVER:
-            return _NEVER
-        # Readiness thresholds are exact CPU-cycle times; the first tick
-        # that can observe one is the next quantum boundary at/after it.
-        return -(-horizon // quantum) * quantum
-
-    def _read_quiet_bound(self, channel: Channel, queues, now: int) -> int:
-        per_bank = self._fast_per_bank(channel, queues, now)
-        if per_bank:
-            if channel.column_ready(now):
-                return now  # a ready column may issue this tick
-            for candidates in per_bank.values():
-                for candidate in candidates:
-                    if not candidate.is_column:
-                        return now  # a bank-ready row command may issue
-            if not self.policy.pure_select:
-                # NFQ's select pops its inversion-window stamp whenever a
-                # bank's earliest-deadline candidate is a column; skipping
-                # those calls would leave stale stamps alive.  Run live.
-                return now
-            # Every candidate is a column waiting for the data bus:
-            # select() filters non-channel-ready winners, so a pure-select
-            # policy cannot issue (or change state) until the bus frees —
-            # or a bank deadline below surfaces a new candidate.
-            bound = channel.data_bus_busy_until - self.timing.cl
-        else:
-            bound = _NEVER
-        # The earliest expiry among the queued banks' candidate lists.
-        until = self._scan_caches[channel.index].per_bank_until
-        return until if until < bound else bound
-
-    def _write_quiet_bound(self, channel: Channel, queues, now: int) -> int:
-        timing = self.timing
-        banks = channel.banks
-        bound = _NEVER
-        for request in queues.write_queue:
-            bank = banks[request.bank]
-            busy_until = bank.busy_until
-            if now < busy_until:
-                if busy_until < bound:
-                    bound = busy_until
-                continue
-            open_row = bank.open_row
-            if open_row is None or open_row == request.row:
-                return now  # an ACTIVATE or WRITE is bank-ready
-            ras_at = bank.activated_at + timing.ras
-            if now >= ras_at:
-                return now  # a PRECHARGE is bank-ready
-            if ras_at < bound:
-                bound = ras_at
-        return bound
-
-    def fast_forward_drain(self, ticks: int) -> None:
-        """Apply ``ticks`` skipped `_update_drain_mode` transitions.
-
-        Queue counts are frozen across an inert window, so the per-tick
-        transition function is fixed: it reaches a fixed point after one
-        application or alternates with period two.
-        """
-        if ticks <= 0:
-            return
-        for channel_index, queues in enumerate(self.queues.channels):
-            reads = queues.read_count
-            writes = queues.write_count
-            initial = self._draining[channel_index]
-            state = self._drain_next(initial, reads, writes)
-            later = self._drain_next(state, reads, writes)
-            if later == state:
-                self._draining[channel_index] = state
-            else:
-                self._draining[channel_index] = state if ticks % 2 else initial
+    # Kept only because perfbench's ``trace_simulator`` wraps it by name.
+    def fast_forward_drain(self, *args):
+        raise NotImplementedError
 
     def _issue(
         self, channel: Channel, candidate: CommandCandidate, scan: ScanInfo, now: int

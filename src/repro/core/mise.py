@@ -46,8 +46,7 @@ class ServiceRateEstimator:
     service counts during sampled epochs feed the alone-rate estimate,
     every thread's counts during unsampled epochs feed the shared-rate
     estimates.  All state is integers updated at request completions
-    and epoch boundaries, so replay across the event kernel's inert
-    windows is trivially exact.
+    and epoch boundaries.
     """
 
     def __init__(self, num_threads: int) -> None:
@@ -168,36 +167,6 @@ class MiseStfmPolicy(SchedulingPolicy):
         self.total_cycles += 1
         if self.fairness_mode:
             self.fairness_cycles += 1
-
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: the epoch timer and the mode counters.
-
-        Completion counts are frozen across an inert window, so the only
-        per-cycle state is the timer and the fairness-cycle diagnostic.
-        Boundary crossings are replayed exactly: the ticks before a
-        crossing count under the old fairness mode, the crossing tick
-        itself ends the epoch first and counts under the new one — the
-        same order :meth:`begin_cycle` uses.
-        """
-        remaining = ticks
-        while remaining > 0:
-            to_boundary = self.epoch_length - self._epoch_tick
-            if remaining < to_boundary:
-                self._epoch_tick += remaining
-                self.total_cycles += remaining
-                if self.fairness_mode:
-                    self.fairness_cycles += remaining
-                break
-            before = to_boundary - 1
-            self.total_cycles += before
-            if self.fairness_mode:
-                self.fairness_cycles += before
-            self._epoch_tick = 0
-            self._end_epoch()
-            self.total_cycles += 1
-            if self.fairness_mode:
-                self.fairness_cycles += 1
-            remaining -= to_boundary
 
     def _end_epoch(self) -> None:
         self.estimator.end_epoch()

@@ -35,9 +35,9 @@ def estimate_slowdown(
 ) -> float:
     """Memory slowdown ``S = Tshared / (Tshared - Tinterference)``.
 
-    The single home of the formula: the register file, STFM's per-cycle
-    decision and its fast-forward replay all evaluate it here, so the
-    two kernels cannot drift apart in float rounding.  ``Talone`` is
+    The single home of the formula: the register file and STFM's
+    per-cycle decision both evaluate it here, so the two cannot drift
+    apart in float rounding.  ``Talone`` is
     estimated as ``Tshared - Tinterference`` (Section 3.2.2).  Saturates
     at :data:`SLOWDOWN_CAP`; a thread with no stall time yet has
     slowdown 1 (it cannot have been slowed).  Negative interference

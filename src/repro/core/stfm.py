@@ -34,7 +34,6 @@ class StfmPolicy(SchedulingPolicy):
     """Stall-Time Fair Memory scheduler."""
 
     name = "STFM"
-    uses_stall_slopes = True  # exact per-cycle Tshared replay
 
     def __init__(
         self,
@@ -136,41 +135,14 @@ class StfmPolicy(SchedulingPolicy):
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
-        self._cycle(self._tshared_all())
-
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: run the per-cycle decision ``ticks`` times.
-
-        The decision depends on float slowdowns crossing ``alpha``, so
-        there is no closed form — but during an inert window the stall
-        counters are exactly ``base + slope * elapsed`` (slope 1 for a
-        memory-stalled core, 0 for an idle one) and the queues are
-        frozen, so replaying :meth:`begin_cycle`'s arithmetic with the
-        reconstructed counters is bit-identical to having ticked.  The
-        replay costs O(threads) per cycle instead of the full
-        scan-and-schedule tick.
-        """
-        dram_cycle = self._dram_cycle
-        threads = range(self.num_threads)
-        bases = self._tshared_all()
-        counters = list(bases)
-        for tick in range(ticks):
-            if tick:
-                elapsed = tick * dram_cycle
-                for t in threads:
-                    if stall_slopes[t]:
-                        counters[t] = bases[t] + elapsed
-            self._cycle(counters)
-
-    def _cycle(self, counters: list[int]) -> None:
         """One DRAM cycle: advance the reset interval, then decide.
 
-        ``counters`` are the threads' cumulative stall counters as of
-        this cycle (live during normal ticks, reconstructed during
-        fast-forward replay).  The decision is one pass over the threads
-        with queued reads, reading the register fields in place.  Ties
-        on the maximum slowdown go to the larger thread id.
+        The decision is one pass over the threads with queued reads,
+        reading every thread's stall counter in one call and the
+        register fields in place.  Ties on the maximum slowdown go to
+        the larger thread id.
         """
+        counters = self._tshared_all()
         self.total_cycles += 1
         registers = self.registers
         registers.interval_counter += self._dram_cycle

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 _COMPUTE = 0
 _MEMORY = 1
 
-#: Sentinel for "no submit can happen before an already-bounded event".
+#: Sentinel wake tick: no own read is scheduled yet.
 _NEVER = 1 << 62
 
 #: Submit callback: (thread_id, address, is_write, now) -> request or None
@@ -86,17 +86,11 @@ class Core:
         commit_width: int = 3,
         mshr_count: int = 64,
         max_outstanding: int | None = None,
-        probe: "Callable[[int, int, bool], bool] | None" = None,
         on_snapshot: "Callable[[Core], None] | None" = None,
     ) -> None:
         """Create the core.
 
         Args:
-            probe: Optional side-effect-free admission probe
-                ``(thread_id, address, is_write) -> bool`` (would the
-                controller accept this submit right now?).  Required for
-                :meth:`quiet_state` to prove a fetch blocked on a full
-                buffer; without it the core is never considered quiet.
             on_snapshot: Called once when the core crosses its
                 instruction budget (O(1) finish detection in the run
                 loop, instead of polling every core each quantum).
@@ -129,7 +123,6 @@ class Core:
         self.reads_issued = 0
         self.writes_issued = 0
 
-        self.probe = probe
         self.on_snapshot = on_snapshot
         self.snapshot: CoreSnapshot | None = None
 
@@ -284,168 +277,12 @@ class Core:
             if self.on_snapshot is not None:
                 self.on_snapshot(self)
 
-    # -- quiescence (event kernel) ----------------------------------------
-    def inertia(self, now: int) -> "tuple[str | None, int]":
-        """Classify this core for the event kernel's jump analysis.
+    # Kept only because perfbench's ``trace_simulator`` wraps them by name.
+    def advance_compute(self, *args):
+        raise NotImplementedError
 
-        Returns ``(state, submit_bound)``:
-
-        * ``state`` — ``"idle"`` (empty window, nothing fetchable),
-          ``"stall"`` (window head is an incomplete memory op),
-          ``"compute"`` (the core makes internal progress — committing
-          and/or fetching compute — without touching the memory system),
-          or ``None`` when the core acts on the controller this very
-          quantum (a completed head commits, or a submit is imminent).
-        * ``submit_bound`` — a proven lower bound on the CPU cycle of
-          this core's next ``submit`` call, assuming no request
-          completes and no command issues before it (the jump horizon's
-          heap/channel/refresh bounds enforce exactly that).  ``NEVER``
-          when every path to a submit runs through such an event:
-
-          - trace exhausted — permanent;
-          - read/write buffer full — frees only when a command issues
-            or retires;
-          - dependent load / MSHR limit — frees only at a completion
-            time, and every pending completion sits in the controller's
-            in-service heap.
-
-          Otherwise the next memory record must first enter the window:
-          the compute ahead of it has to be fetched and committed, and
-          commits cannot outpace ``commit_width`` per cycle, giving
-          ``now + ceil(missing_room / width)``.
-
-        ``"compute"`` is only reported when the window is empty or a
-        single compute block and the cursor still holds compute — the
-        precondition for :meth:`advance_compute`'s exact closed-form
-        replay.  Mixed windows or draining blocks return ``None`` and
-        are handled by live ticks.
-        """
-        window = self._window
-        if window:
-            entry = window[0]
-            if entry[0] == _COMPUTE:
-                if len(window) > 1:
-                    # Mixed window (memory entries behind the compute
-                    # head): commit pacing has no closed form; live-tick.
-                    return None, now
-                state = "compute"
-            else:
-                done_at = entry[1].completed_at
-                if done_at is not None and done_at <= now:
-                    return None, now  # head commits this quantum
-                state = "stall"
-        else:
-            state = "idle"
-        if self.probe is None:
-            return None, now  # cannot prove the buffers full; no jumps
-        cursor = self.cursor
-        chunk = cursor.peek_compute()
-        if chunk:
-            if state == "idle":
-                state = "compute"  # will fetch and commit this compute
-            # Conservatively assume a memory record directly follows the
-            # chunk (peek_compute sees only the current block).
-            need = self._window_instrs + chunk + 1 - self.window_size
-            if need <= 0:
-                return None, now  # the record may be fetched right now
-            if state == "stall":
-                return state, _NEVER  # stalled head: no commits, no room
-            width = self.commit_width
-            return state, now + (need + width - 1) // width
-        if state == "compute":
-            # Compute block draining with no top-up: the closed-form
-            # replay (top-up every quantum) does not apply; live-tick
-            # the few quanta until the window empties.
-            return None, now
-        record = cursor.peek_memory()
-        if record is None:
-            return state, _NEVER  # trace exhausted
-        bound = self._record_bound(record, now)
-        if bound is not None:
-            return state, bound
-        if self._window_instrs + 1 > self.window_size:
-            return state, _NEVER  # stalled head: no commits, no room
-        return None, now  # the record can be fetched right now
-
-    def _record_bound(self, record, now: int) -> "int | None":
-        """``NEVER`` if the pending record is resource-blocked on an
-        event the jump horizon already bounds; ``None`` if resources are
-        available (window room decides)."""
-        if record.is_write:
-            if self.probe(self.core_id, record.address, True):
-                return None
-            return _NEVER  # write buffer frees only on a write issue
-        if record.dependent and self._last_read is not None:
-            previous = self._last_read
-            if previous.completed_at is None or previous.completed_at > now:
-                return _NEVER  # pointer chase on an incomplete load
-        self.mshrs.release_completed(now)
-        if len(self.mshrs) >= self.max_outstanding:
-            return _NEVER  # MLP limit / all MSHRs busy until a completion
-        if self.probe(self.core_id, record.address, False):
-            return None
-        return _NEVER  # read buffer frees only on retire
-
-    def window_has_inflight(self, now: int) -> bool:
-        """Any window entry waiting on an incomplete memory request.
-
-        Such an entry can become the head mid-window and flip the core
-        from committing to stalling, changing the slope of
-        ``memory_stall_cycles`` — policies that replay per-cycle stall
-        counters (STFM) must exclude those cores from jumps.
-        """
-        for entry in self._window:
-            if entry[0] == _MEMORY:
-                done_at = entry[1].completed_at
-                if done_at is None or done_at > now:
-                    return True
-        return False
-
-    def advance_compute(self, now: int, span: int, quantum: int) -> None:
-        """Closed-form replay of ``span`` pure-compute CPU cycles.
-
-        Preconditions (established by :meth:`inertia` returning
-        ``"compute"`` plus the jump horizon's bounds): the window is
-        empty or a single compute block, the cursor's compute chunk
-        outlasts the window, and no submit, budget crossing, completion
-        or command issue occurs inside it.  Under those, the naive
-        per-quantum trajectory is exact: ``_fetch`` tops the window up
-        to capacity at every quantum boundary and commit retires exactly
-        ``commit_width`` instructions per cycle, so the end state is
-        computable in O(1):
-
-        * commits: ``width * span``;
-        * fetched: the initial top-up to ``window_size`` plus one
-          quantum's worth of commits at each later boundary;
-        * the window ends one quantum of commits below capacity.
-        """
-        width = self.commit_width
-        commits = width * span
-        per_quantum = width * quantum
-        window = self._window
-        w0 = self._window_instrs
-        take = (self.window_size - w0) + per_quantum * (span // quantum - 1)
-        taken = self.cursor.take_compute(take)
-        if taken != take:  # pragma: no cover - guarded by inertia's bound
-            raise RuntimeError("compute jump outran the trace chunk")
-        if window:
-            window[0][1] += taken - commits
-        else:
-            window.append([_COMPUTE, taken - commits])
-        self._window_instrs = w0 + taken - commits
-        self._commit(commits, now + span)
-
-    def bulk_advance(self, state: str, cycles: int) -> None:
-        """Apply the counter effect of ``cycles`` quiet CPU cycles.
-
-        Exactly what per-quantum :meth:`step` calls would have done in
-        the given quiet state: idle cores accrue ``idle_cycles``, stalled
-        cores accrue ``memory_stall_cycles``.
-        """
-        if state == "idle":
-            self.idle_cycles += cycles
-        else:
-            self.memory_stall_cycles += cycles
+    def bulk_advance(self, *args):
+        raise NotImplementedError
 
     @property
     def finished(self) -> bool:

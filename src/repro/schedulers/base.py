@@ -53,26 +53,6 @@ class SchedulingPolicy:
     #: the conservative True, as for :attr:`needs_scan`.
     needs_ready_sets = True
 
-    #: Whether :meth:`select` is observationally pure — calling it on a
-    #: frozen candidate set any number of times (including zero) leaves
-    #: the policy in the same state as calling it once per tick.  The
-    #: event kernel skips select calls across windows where no candidate
-    #: is channel-ready; a policy whose select keeps per-tick state that
-    #: those calls would mutate (NFQ's priority-inversion bookkeeping
-    #: pops its blocked-window entry whenever the earliest-deadline
-    #: candidate is a column) must set this False, which forces a live
-    #: tick whenever the channel has any candidate at all.
-    pure_select = True
-
-    #: Whether :meth:`fast_forward` consumes ``stall_slopes`` to replay
-    #: per-cycle stall counters (STFM).  Such policies need every core's
-    #: counter slope to be *constant* across a skipped window, so the
-    #: event kernel excludes compute-phase cores whose window still holds
-    #: an in-flight memory entry (the slope could flip mid-window when it
-    #: reaches the head).  Policies that ignore the slopes leave this
-    #: False and permit those jumps.
-    uses_stall_slopes = False
-
     def __init__(self) -> None:
         self.controller: "MemoryController | None" = None
 
@@ -84,25 +64,9 @@ class SchedulingPolicy:
     def begin_cycle(self, now: int) -> None:
         """Called once per DRAM cycle before any channel is scheduled."""
 
-    def fast_forward(
-        self, start: int, ticks: int, stall_slopes: list[int]
-    ) -> None:
-        """Replay ``ticks`` consecutive :meth:`begin_cycle` calls at once.
-
-        The event-driven kernel calls this instead of ``begin_cycle``
-        when it skips an inert window — ``ticks`` DRAM cycles starting at
-        CPU cycle ``start`` during which no command can issue, no request
-        arrives or completes, and every core is provably idle or stalled.
-        Queue contents are frozen across the window; the only inputs
-        that change are the cores' stall counters, which grow linearly:
-        ``stall_slopes[t]`` is 1 when thread ``t``'s counter gains one
-        per CPU cycle (stalled on memory) and 0 when frozen (idle).
-
-        Implementations must leave the policy in the exact state ``ticks``
-        individual ``begin_cycle`` calls would have (the two kernels are
-        differential-tested for bit-identity).  The base policy keeps no
-        per-cycle state, so there is nothing to replay.
-        """
+    # Kept only because perfbench's ``trace_simulator`` wraps it by name.
+    def fast_forward(self, *args):
+        raise NotImplementedError
 
     def select(
         self,

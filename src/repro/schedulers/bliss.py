@@ -78,24 +78,6 @@ class BlissPolicy(SchedulingPolicy):
             self._ticks = 0
             self._clear()
 
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: only the clearing timer advances.
-
-        No request is serviced during an inert window, so the streak
-        registers are frozen; the per-cycle work reduces to the timer,
-        which is replayed boundary by boundary (clearing is idempotent,
-        but the tick counter must land on the exact per-tick value).
-        """
-        remaining = ticks
-        while remaining > 0:
-            to_boundary = self.clearing_interval - self._ticks
-            if remaining < to_boundary:
-                self._ticks += remaining
-                break
-            self._ticks = 0
-            self._clear()
-            remaining -= to_boundary
-
     def _clear(self) -> None:
         self.clears += 1
         for thread in range(self.num_threads):

@@ -34,15 +34,6 @@ class NfqPolicy(SchedulingPolicy):
     # on_command_issued reads only scan.channel (present in the shell
     # ScanInfo the event kernel passes), never the thread sets.
     needs_scan = False
-    # select maintains the inversion-prevention bookkeeping per call: it
-    # stamps the cycle a bank's earliest-deadline row access first gets
-    # bypassed and *clears* the entry whenever the earliest candidate is
-    # a column.  Skipping select calls (as the event kernel's
-    # all-columns-bus-blocked jump would) can leave a stale stamp alive,
-    # shortening a later inversion window — so NFQ demands a live tick
-    # whenever candidates exist.
-    pure_select = False
-
     def __init__(
         self,
         num_threads: int,

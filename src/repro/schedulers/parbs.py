@@ -59,14 +59,6 @@ class ParBsPolicy(SchedulingPolicy):
         if not self._marked:
             self._form_batch()
 
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: with frozen queues, ``ticks`` begin_cycle
-        calls collapse to one.  Either the first call forms a non-empty
-        batch (later calls no-op on ``self._marked``) or the queues hold
-        no requests and every call returns without side effects."""
-        if not self._marked:
-            self._form_batch()
-
     def _form_batch(self) -> None:
         assert self.controller is not None
         queues = self.controller.queues

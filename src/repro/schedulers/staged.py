@@ -84,25 +84,6 @@ class StagedPolicy(SchedulingPolicy):
             self._epoch_tick = 0
             self._classify()
 
-    def fast_forward(self, start, ticks, stall_slopes) -> None:
-        """Inert-window replay: only the classification timer advances.
-
-        Serviced-request counts are frozen across an inert window, so
-        boundary crossings replay :meth:`_classify` against the same
-        counts :meth:`begin_cycle` would have seen tick by tick.
-        """
-        if self._static:
-            return
-        remaining = ticks
-        while remaining > 0:
-            to_boundary = self.epoch_length - self._epoch_tick
-            if remaining < to_boundary:
-                self._epoch_tick += remaining
-                break
-            self._epoch_tick = 0
-            self._classify()
-            remaining -= to_boundary
-
     def _classify(self) -> None:
         """Reclassify threads from the finished epoch's service shares."""
         total = sum(self._epoch_served)

@@ -3,15 +3,15 @@
 There is one simulation loop, ``CmpSystem.run``, in two bit-identical
 modes:
 
-* ``event`` (default) — the controller caches per-channel candidate
-  scans between state changes, and the loop jumps over provably-inert
-  cycle ranges, replaying them in closed form (see DESIGN.md §3.14).
-  Every jump is capped by the system's ``max_cycles`` and, when an
-  observer such as the telemetry sampler is attached, by its next
-  sample tick.
-* ``naive`` — the same loop with jumps off and eager candidate scans:
-  one controller decision every DRAM cycle, kept as a
-  differential-testing oracle.
+* ``event`` (default) — the controller caches per-bank candidate
+  lists between state changes and builds the issue-time scan only for
+  the entries a policy reads, and a core stalled on its own reads
+  sleeps until one of them is scheduled or returns (see DESIGN.md
+  §3.14).
+* ``naive`` — the same loop with eager candidate scans and every core
+  stepped on every tick, kept as a differential-testing oracle.
+
+Both make one controller decision every DRAM cycle.
 
 Selection uses the ``STFM_SIM_KERNEL`` environment variable, read once
 per system when its memory controller is built, following the same

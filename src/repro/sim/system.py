@@ -83,7 +83,6 @@ class CmpSystem:
                 commit_width=config.commit_width,
                 mshr_count=config.mshr_count,
                 max_outstanding=mlp_limits[i],
-                probe=self.controller.can_accept,
                 on_snapshot=self._on_core_snapshot,
             )
             for i, trace in enumerate(traces)
@@ -115,10 +114,9 @@ class CmpSystem:
         if self.controller._fast_path:
             self.controller.set_read_listener(self._wake_on_read)
         # Kernel counters (kept off result payloads, which must not
-        # depend on the kernel): ticks run live and replayed by jumps,
-        # core-ticks stepped and core-ticks spent asleep.
+        # depend on the kernel): ticks run, core-ticks stepped and
+        # core-ticks spent asleep.
         self.live_ticks = 0
-        self.jumped_ticks = 0
         self.core_steps = 0
         self.core_sleeps = 0
         self.now = 0
@@ -151,50 +149,37 @@ class CmpSystem:
         crossing).  A ``max_cycles`` safety net bounds runaway runs.
 
         This is the one simulation loop (DESIGN.md Section 3.14).  Each
-        live tick makes the controller's per-DRAM-cycle decision, then
-        steps every core one quantum.  With jumps on (the *event* kernel,
-        the default), a tick that issued no command is followed by a
-        quiet-horizon analysis: a window of ticks proven inert is
-        replayed in closed form — the policy's per-cycle state via
-        ``fast_forward``, the cores' counters via ``bulk_advance`` /
-        ``advance_compute``, and the write-drain hysteresis via
-        ``fast_forward_drain`` — bit-identical to having ticked.  The
-        event kernel also lets a core sleep: after a step that stalled
-        the whole quantum on its own reads (``Core.step`` returns True),
-        the core is not stepped again before ``Core.wake_tick``, lowered
-        by ``_wake_on_read`` when one of its reads is scheduled, and
-        accrues the quantum's stall cycles directly, so every counter
-        stays exact on every tick.  The *naive* kernel
-        (``STFM_SIM_KERNEL=naive``, fixed when the controller is built)
-        is the same loop with jumps and sleeps off.
+        tick makes the controller's per-DRAM-cycle decision, then steps
+        every core one quantum.  The *event* kernel (the default) lets a
+        core sleep: after a step that stalled the whole quantum on its
+        own reads (``Core.step`` returns True), the core is not stepped
+        again before ``Core.wake_tick``, lowered by ``_wake_on_read``
+        when one of its reads is scheduled, and accrues the quantum's
+        stall cycles directly, so every counter stays exact on every
+        tick.  The *naive* kernel (``STFM_SIM_KERNEL=naive``, fixed when
+        the controller is built) steps every core on every tick.
 
         Args:
             sampler: Optional observer with a ``period`` (CPU cycles) and
                 a ``sample(now)`` method, e.g.
                 :class:`~repro.sim.telemetry.TelemetrySampler`.  It is
                 called at the top of the first tick at or after each
-                sample time, and once more after the loop ends.  The next
-                sample tick caps every jump, so samples are the same
-                under both kernels.
+                sample time, and once more after the loop ends.
         """
         quantum = self.config.timing.dram_cycle
         controller = self.controller
-        policy = controller.policy
         cores = self.cores
         max_cycles = self.config.max_cycles
         num_cores = len(cores)
-        jumps = controller._fast_path
+        sleeps = controller._fast_path
         wake = self._wake
         now = self.now
-        next_sample = limit = now if sampler is not None else max_cycles
-        states: list[str | None] = [None] * num_cores
-        live = jumped = steps = 0
+        next_sample = now if sampler is not None else max_cycles
+        live = steps = 0
         while now < max_cycles:
             if now >= next_sample:
                 sampler.sample(now)
                 next_sample += sampler.period
-                limit = min(max_cycles, -(-next_sample // quantum) * quantum)
-            issued_before = controller.commands_issued
             controller.tick(now)
             live += 1
             for i, core in enumerate(cores):
@@ -202,130 +187,19 @@ class CmpSystem:
                     core.memory_stall_cycles += quantum
                     continue
                 steps += 1
-                if core.step(now, quantum) and jumps:
+                if core.step(now, quantum) and sleeps:
                     wake[i] = core.wake_tick(now, quantum)
             now += quantum
             if self._finished >= num_cores:
                 break
-            if not jumps or controller.commands_issued != issued_before:
-                # Issue-gate heuristic: a tick that issued a command is
-                # usually followed by more issue ticks (bursts stream
-                # back-to-back), so the jump analysis would almost
-                # always fail — skip it and retry on the first quiet
-                # tick.  Purely a performance gate: which ticks run
-                # live never changes what they compute.
-                continue
-            horizon = self._quiet_horizon(now, quantum, limit, states)
-            if horizon > now:
-                ticks = (horizon - now) // quantum
-                slopes = [1 if s == "stall" else 0 for s in states]
-                policy.fast_forward(now, ticks, slopes)
-                span = ticks * quantum
-                for core, state in zip(cores, states):
-                    if state == "compute":
-                        core.advance_compute(now, span, quantum)
-                    else:
-                        core.bulk_advance(state, span)
-                controller.fast_forward_drain(ticks)
-                jumped += ticks
-                now += span
-                if self._finished >= num_cores:
-                    # The last budget crossing can land exactly on the
-                    # end of a replayed compute window; stop here like
-                    # a tick-by-tick run does, not one live tick later.
-                    break
         self.now = now
         self.live_ticks += live
-        self.jumped_ticks += jumped
         self.core_steps += steps
         self.core_sleeps += live * num_cores - steps
         if sampler is not None:
             sampler.sample(now)
         return [core.force_snapshot(now) for core in cores]
 
-    def _quiet_horizon(
-        self,
-        now: int,
-        quantum: int,
-        max_cycles: int,
-        states: list,
-    ) -> int:
-        """Latest tick before which no scheduling decision can change.
-
-        Ticks ``now .. horizon - quantum`` are inert; the tick at the
-        returned horizon runs live.  Returns ``now`` when any component
-        might act this tick.  ``states`` receives each core's
-        classification ("idle"/"stall"/"compute") for the replay.
-
-        Per-core constraints: the window must end before any core's
-        earliest possible submit (so requests arrive only around live
-        ticks, preserving the naive kernel's core interleaving), and
-        before any committing core can cross its instruction budget (so
-        the run loop's finish check fires on the same quantum).
-        """
-        controller = self.controller
-        horizon = max_cycles
-        # Channels first: a ready candidate is the most common reason a
-        # tick must run live, and the check rides the warm candidate
-        # caches — cheaper than classifying every core only to bail.
-        for channel in controller.channels:
-            bound = controller.channel_quiet_bound(channel, now, quantum)
-            if bound <= now:
-                return now
-            if bound < horizon:
-                horizon = bound
-        uses_slopes = controller.policy.uses_stall_slopes
-        wake = self._wake
-        for i, core in enumerate(self.cores):
-            bound = wake[i]
-            if bound > now:
-                # Asleep: stalled, and no submit before it wakes.
-                states[i] = "stall"
-                if bound < horizon:
-                    horizon = bound
-                continue
-            state, bound = core.inertia(now)
-            if state is None:
-                return now
-            states[i] = state
-            if state == "compute":
-                if uses_slopes and core.window_has_inflight(now):
-                    return now
-                if core.snapshot is None:
-                    # Budget-crossing cap: commits cannot outpace the
-                    # commit width, so the crossing quantum is live.
-                    remaining = (
-                        core.instruction_budget - core.committed_instructions
-                    )
-                    width = core.commit_width
-                    cap = now + (
-                        ((remaining + width - 1) // width) // quantum
-                    ) * quantum
-                    if cap <= now:
-                        return now
-                    if cap < horizon:
-                        horizon = cap
-            if bound < horizon:
-                # Stop before the quantum containing the earliest submit.
-                bound = (bound // quantum) * quantum
-                if bound <= now:
-                    return now
-                if bound < horizon:
-                    horizon = bound
-        heap = controller._in_service
-        if heap:
-            # Every pending completion sits in this heap; a core may wake
-            # mid-quantum, so bound by the *floor* tick of the earliest.
-            bound = (heap[0][0] // quantum) * quantum
-            if bound <= now:
-                return now
-            if bound < horizon:
-                horizon = bound
-        if controller.refresh_enabled:
-            for deadline in controller._next_refresh:
-                bound = -(-deadline // quantum) * quantum
-                if bound <= now:
-                    return now
-                if bound < horizon:
-                    horizon = bound
-        return horizon
+    # Kept only because perfbench's ``trace_simulator`` wraps it by name.
+    def _quiet_horizon(self, *args):
+        raise NotImplementedError

@@ -1,8 +1,9 @@
 """Differential tests: event-driven kernel vs the naive reference kernel.
 
-The event-driven kernel (DESIGN.md §3.14) must be *bit-identical* to the
-tick-every-DRAM-cycle loop it replaces — not statistically close, the
-same numbers.  These tests run randomized workloads through both kernels
+The event-driven kernel (DESIGN.md §3.14: cached candidate lists, the
+issue-time scan, sleeping cores) must be *bit-identical* to the naive
+kernel, which scans eagerly and steps every core on every DRAM cycle —
+not statistically close, the same numbers.  These tests run randomized workloads through both kernels
 (selected via ``STFM_SIM_KERNEL``) across every scheduling policy,
 refresh on/off, write-drain pressure, and MLP limits, and compare full
 result fingerprints: core snapshots, controller counters, per-thread
@@ -189,12 +190,9 @@ def test_randomized_workloads_bit_identical(monkeypatch, policy_name, seed):
 
 @pytest.mark.parametrize("policy_name", ["fr-fcfs", "nfq", "stfm"])
 def test_bursty_compute_gaps_bit_identical(monkeypatch, policy_name):
-    """Regression: fig3-style bursty threads with long pure-compute gaps.
-
-    These exercise the closed-form compute replay
-    (:meth:`repro.cpu.core.Core.advance_compute`); an early bulk-step
-    implementation diverged here by rounding commit cycles per block.
-    """
+    """Regression: fig3-style bursty threads with long pure-compute gaps
+    next to a continuously missing thread, so cores fall asleep and wake
+    while others commit."""
     bursty = BenchmarkSpec(
         name="bursty",
         itype="SYN",
@@ -226,8 +224,8 @@ def test_bursty_compute_gaps_bit_identical(monkeypatch, policy_name):
 
 
 def test_write_drain_pressure_bit_identical(monkeypatch):
-    """A small write buffer forces frequent drain-mode flips — the
-    drain hysteresis must replay identically across jumps."""
+    """A small write buffer forces frequent drain-mode flips, with cores
+    stalled on the full buffer (which must never put them to sleep)."""
     rng = random.Random(7)
     specs = [random_spec(rng, f"wr-{i}") for i in range(2)]
     specs = [
@@ -247,9 +245,8 @@ def test_write_drain_pressure_bit_identical(monkeypatch):
 
 
 def test_single_core_mlp_one_bit_identical(monkeypatch):
-    """Serialized pointer chases (MLP 1) keep the window in lockstep
-    with the in-service heap; the floor/ceil alignment of heap bounds
-    must not drift."""
+    """Serialized pointer chases (MLP 1): the core sleeps on every
+    dependent load and must wake in the quantum its data returns."""
     rng = random.Random(11)
     spec = random_spec(rng, "chase")
     spec = BenchmarkSpec(
@@ -261,8 +258,8 @@ def test_single_core_mlp_one_bit_identical(monkeypatch):
 @pytest.mark.parametrize("policy_name", ["staged", "bliss", "mise-stfm", "stfm"])
 def test_streaming_agent_mix_bit_identical(monkeypatch, policy_name):
     """A GPU-like streaming agent next to CPU threads: the agent's long
-    bursts and high MLP stress the inert-window bounds, and the staged
-    policy's online classification must replay identically."""
+    bursts and high MLP keep the candidate caches churning, and the
+    policies' epoch timers see every tick under both kernels."""
     from repro.workloads.streaming import STREAMING_AGENTS
 
     rng = random.Random(23)
@@ -279,8 +276,7 @@ def test_streaming_agent_mix_bit_identical(monkeypatch, policy_name):
     [
         # The literal ready basis: the issue-time scan's ready sets.
         {"interference_basis": "ready"},
-        # A short interval: register resets land in live ticks and
-        # inside replayed inert windows.
+        # A short interval: register resets land inside the run.
         {"interval_length": 1 << 12},
         # Non-unit weights, some equal: ties on the weighted maximum
         # exercise the larger-thread-id tie-break.
@@ -308,33 +304,28 @@ def test_stfm_non_default_paths_bit_identical(monkeypatch, policy_kwargs, seed):
     )
 
 
-def test_short_interval_resets_in_live_and_replayed_ticks(monkeypatch):
-    """The short-interval case really does reset inside replayed
-    windows as well as on live ticks (so the differential test above
-    covers both)."""
+def test_short_interval_resets_in_live_ticks(monkeypatch):
+    """The short-interval case really does reset during the run (so the
+    differential test above covers register resets)."""
     from repro.core.stfm import StfmPolicy
 
     rng = random.Random(5000)
     specs = [random_spec(rng, f"opt-{i}") for i in range(4)]
-    resets = {"live": 0, "replayed": 0}
-    original_ff = StfmPolicy.fast_forward
+    resets = 0
     original_begin = StfmPolicy.begin_cycle
 
-    def counting(kind, original):
-        def wrapper(self, *args):
-            before = self.registers.resets
-            original(self, *args)
-            resets[kind] += self.registers.resets - before
-        return wrapper
+    def counting(self, *args):
+        nonlocal resets
+        before = self.registers.resets
+        original_begin(self, *args)
+        resets += self.registers.resets - before
 
-    monkeypatch.setattr(StfmPolicy, "fast_forward", counting("replayed", original_ff))
-    monkeypatch.setattr(StfmPolicy, "begin_cycle", counting("live", original_begin))
+    monkeypatch.setattr(StfmPolicy, "begin_cycle", counting)
     simulate(
         monkeypatch, "event", specs, "stfm",
         policy_kwargs={"interval_length": 1 << 12},
     )
-    assert resets["live"] > 0
-    assert resets["replayed"] > 0
+    assert resets > 0
 
 
 class RecordingSanitizer(ProtocolSanitizer):
@@ -419,9 +410,9 @@ def test_small_write_buffer_completes(monkeypatch, policy_name):
 @pytest.mark.parametrize("policy_name", POLICIES)
 @pytest.mark.parametrize("period", [15, 1_235])
 def test_telemetry_samples_identical(monkeypatch, policy_name, period):
-    """A telemetry sampler caps every jump at its next sample tick, so
-    each sample sees the same state under both kernels — including
-    periods that are not a multiple of the 10-cycle quantum."""
+    """Each telemetry sample sees the same state under both kernels —
+    including periods that are not a multiple of the 10-cycle quantum,
+    and sleeping cores, whose stall counters are exact on every tick."""
     rng = random.Random(3000 + POLICIES.index(policy_name))
     num_cores = rng.choice([2, 4])
     specs = [random_spec(rng, f"tel-{i}") for i in range(num_cores)]
@@ -439,7 +430,8 @@ def test_telemetry_samples_identical(monkeypatch, policy_name, period):
 
 def test_kernel_is_chosen_when_the_system_is_built(monkeypatch):
     """A system built under the naive kernel stays naive when the
-    environment changes before it runs: every DRAM cycle ticks live."""
+    environment changes before it runs: every DRAM cycle ticks and
+    every core steps on each of them."""
     from repro.controller.controller import MemoryController
 
     rng = random.Random(4)
@@ -464,6 +456,7 @@ def test_kernel_is_chosen_when_the_system_is_built(monkeypatch):
     monkeypatch.setattr(MemoryController, "tick", counting)
     system.run()
     assert ticks == list(range(0, system.now, config.timing.dram_cycle))
+    assert system.core_sleeps == 0
 
 
 # -- sleeping cores -------------------------------------------------------------
@@ -506,8 +499,7 @@ def test_stalled_cores_sleep_on_the_kernel_mix(monkeypatch):
     assert event.core_steps + event.core_sleeps == cores * event.live_ticks
     assert naive.core_steps == cores * naive.live_ticks
     assert naive.core_sleeps == 0
-    assert naive.jumped_ticks == 0
-    assert event.live_ticks + event.jumped_ticks == naive.live_ticks
+    assert event.live_ticks == naive.live_ticks
 
 
 def _block_reason(core, now: int) -> str:

@@ -41,10 +41,8 @@ class TestRegistry:
         assert names == PAPER_ORDER + EXTENSION_ORDER
         for name in EXTENSION_ORDER:
             policy = make_policy(name, num_threads=4)
-            # The whole zoo satisfies the event-kernel purity protocol.
+            # No zoo policy reads the issue-time scan.
             assert policy.needs_scan is False
-            assert policy.pure_select is True
-            assert policy.uses_stall_slopes is False
 
     def test_paper_order_excludes_extensions(self):
         assert available_policies() == PAPER_ORDER
@@ -83,15 +81,6 @@ class TestBliss:
             policy.begin_cycle(now)
         assert policy.blacklisted_threads == []
         assert policy.clears == 1
-
-    def test_fast_forward_matches_per_cycle_ticks(self):
-        ticked = BlissPolicy(num_threads=2, clearing_interval=7)
-        jumped = BlissPolicy(num_threads=2, clearing_interval=7)
-        for now in range(23):
-            ticked.begin_cycle(now)
-        jumped.fast_forward(0, 23, None)
-        assert ticked._ticks == jumped._ticks
-        assert ticked.clears == jumped.clears
 
     def test_blacklisted_thread_deprioritized(self):
         policy = BlissPolicy(num_threads=2, threshold=1)
@@ -157,33 +146,6 @@ class TestServiceRateEstimator:
 
 
 class TestMiseStfm:
-    def test_fast_forward_matches_per_cycle_ticks(self):
-        class _Queues:
-            def threads_with_reads(self):
-                return [0, 1]
-
-        class _Controller:
-            queues = _Queues()
-
-        ticked = MiseStfmPolicy(num_threads=2, epoch_length=5)
-        jumped = MiseStfmPolicy(num_threads=2, epoch_length=5)
-        for policy in (ticked, jumped):
-            policy.controller = _Controller()
-            # Seed asymmetric service so epoch boundaries change state.
-            for _ in range(6):
-                policy.on_request_completed(_Request(0), now=0)
-            policy.on_request_completed(_Request(1), now=0)
-        for now in range(17):
-            ticked.begin_cycle(now)
-        jumped.fast_forward(0, 17, None)
-        assert ticked._epoch_tick == jumped._epoch_tick
-        assert ticked.estimator.epochs_completed == (
-            jumped.estimator.epochs_completed
-        )
-        assert ticked.fairness_mode == jumped.fairness_mode
-        assert ticked.total_cycles == jumped.total_cycles
-        assert ticked.fairness_cycles == jumped.fairness_cycles
-
     def test_sampled_thread_gets_top_priority(self):
         policy = MiseStfmPolicy(num_threads=2)
         assert policy.estimator.sampled_thread == 0
@@ -249,19 +211,6 @@ class TestStaged:
         for now in range(10):
             policy.begin_cycle(now)
         assert policy.streaming_classified == []
-
-    def test_fast_forward_matches_per_cycle_ticks(self):
-        ticked = StagedPolicy(num_threads=2, epoch_length=6)
-        jumped = StagedPolicy(num_threads=2, epoch_length=6)
-        for policy in (ticked, jumped):
-            for _ in range(40):
-                policy.on_request_completed(_Request(1), now=0)
-        for now in range(20):
-            ticked.begin_cycle(now)
-        jumped.fast_forward(0, 20, None)
-        assert ticked._epoch_tick == jumped._epoch_tick
-        assert ticked._streaming == jumped._streaming
-        assert ticked.reclassifications == jumped.reclassifications
 
     def test_validation(self):
         with pytest.raises(ValueError):

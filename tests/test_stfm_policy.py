@@ -183,29 +183,6 @@ class TestDecision:
         assert policy.fairness_mode
         assert policy.max_slowdown_thread == 2
 
-    def test_replay_and_live_ticks_share_the_decision(self):
-        """fast_forward replays the live decision, interval resets
-        included, on reconstructed stall counters."""
-        stalls = [1000, 1000]
-        live_harness, live = make_harness(alpha=1.05, interval_length=100)
-        ff_harness, ff = make_harness(alpha=1.05, interval_length=100)
-        for harness, policy in ((live_harness, live), (ff_harness, ff)):
-            policy.set_tshared_source(lambda t: stalls[t])
-            policy.registers.add_interference(1, 300.0)
-            harness.submit(0, bank=0, row=1)
-            harness.submit(1, bank=1, row=1)
-        base = list(stalls)
-        dram_cycle = live_harness.timing.dram_cycle
-        for tick in range(40):
-            stalls[1] = base[1] + tick * dram_cycle
-            live.begin_cycle(tick * dram_cycle)
-        stalls[1] = base[1]
-        ff.fast_forward(0, 40, [0, 1])
-        assert live.registers.resets == ff.registers.resets > 0
-        assert (live.fairness_cycles, live.max_slowdown_thread,
-                live.last_unfairness) == (
-            ff.fairness_cycles, ff.max_slowdown_thread, ff.last_unfairness)
-
 
 class TestFairnessRulePrioritization:
     def test_tmax_thread_serviced_first(self):
