@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from repro.core.registers import SLOWDOWN_CAP, check_alpha, check_weight
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import CLASS_RANK, SchedulingPolicy
 
 
 class ServiceRateEstimator:
@@ -150,6 +150,7 @@ class MiseStfmPolicy(SchedulingPolicy):
         # Diagnostics.
         self.fairness_cycles = 0
         self.total_cycles = 0
+        self._rank_classes()
 
     # -- system-software interface (STFM Section 3.3) ---------------------
     def set_alpha(self, alpha: float) -> None:
@@ -171,6 +172,19 @@ class MiseStfmPolicy(SchedulingPolicy):
     def _end_epoch(self) -> None:
         self.estimator.end_epoch()
         self._decide()
+        self._rank_classes()
+
+    def _rank_classes(self) -> None:
+        """Rebuild ``class_of`` from the sample and the decision, which
+        change only at epoch boundaries: the sampled thread two classes
+        up, the favoured thread one."""
+        sampled = self.estimator.sampled_thread
+        favored = self.max_slowdown_thread if self.fairness_mode else None
+        self.class_of = [
+            ((2 if thread == sampled else 0) + (1 if thread == favored else 0))
+            * CLASS_RANK
+            for thread in range(self.num_threads)
+        ]
 
     def _decide(self) -> None:
         """STFM's fairness decision over the MISE slowdown estimates."""

@@ -27,7 +27,7 @@ from repro.core.registers import (
     estimate_slowdown,
 )
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import CLASS_RANK, SchedulingPolicy
 
 
 class StfmPolicy(SchedulingPolicy):
@@ -69,8 +69,9 @@ class StfmPolicy(SchedulingPolicy):
         self.alpha = check_alpha(alpha)
         self.gamma = gamma
         self.interference_basis = interference_basis
-        # Only the literal ready basis reads the scan's ready sets.
-        self.needs_ready_sets = interference_basis == "ready"
+        # The waiting basis reads queue counters; only the literal
+        # ready basis reads a scan, and its ready sets.
+        self.needs_scan = self.needs_ready_sets = interference_basis == "ready"
         self.registers = StfmRegisters(
             num_threads, interval_length=interval_length, weights=weights
         )
@@ -85,6 +86,10 @@ class StfmPolicy(SchedulingPolicy):
         self.fairness_mode = False
         self.max_slowdown_thread: int | None = None
         self.last_unfairness = 1.0
+        # The thread the fairness rule favours (None outside fairness
+        # mode), the one thread a class above the rest in class_of.
+        self._favored: int | None = None
+        self.class_of = [0] * num_threads
         # Diagnostics.
         self.fairness_cycles = 0
         self.total_cycles = 0
@@ -176,17 +181,26 @@ class StfmPolicy(SchedulingPolicy):
         if active < 2:
             self.fairness_mode = False
             self.last_unfairness = 1.0
-            return
-        self.last_unfairness = s_max / max(s_min, 1e-9)
-        self.fairness_mode = self.last_unfairness > self.alpha
-        if self.fairness_mode:
-            self.fairness_cycles += 1
+        else:
+            self.last_unfairness = s_max / max(s_min, 1e-9)
+            self.fairness_mode = self.last_unfairness > self.alpha
+            if self.fairness_mode:
+                self.fairness_cycles += 1
+        favored = t_max if self.fairness_mode else None
+        if favored != self._favored:
+            class_of = self.class_of
+            if self._favored is not None:
+                class_of[self._favored] = 0
+            if favored is not None:
+                class_of[favored] = CLASS_RANK
+            self._favored = favored
 
     def slowdown_of(self, thread_id: int) -> float:
         """Current raw slowdown estimate of a thread (diagnostics)."""
         return self.registers.slowdown(thread_id, self._tshared_source(thread_id))
 
     def priority_key(self, candidate: CommandCandidate, now: int):
+        """The fairness rule's order; ``select`` ranks by ``class_of``."""
         favored = (
             1
             if self.fairness_mode

@@ -25,7 +25,7 @@ DRAM cycles.
 from __future__ import annotations
 
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import CLASS_RANK, SchedulingPolicy
 
 
 class BlissPolicy(SchedulingPolicy):
@@ -63,8 +63,10 @@ class BlissPolicy(SchedulingPolicy):
         # serviced request and the length of the current service streak.
         self._streak_thread: int | None = None
         self._streak = 0
-        # One bit per hardware thread.
+        # One bit per hardware thread, and the class it gives the
+        # thread in select's ranking (blacklisted threads rank lower).
         self._blacklisted = [False] * num_threads
+        self.class_of = [CLASS_RANK] * num_threads
         # DRAM cycles since the last blacklist clear.
         self._ticks = 0
         # Diagnostics.
@@ -82,6 +84,7 @@ class BlissPolicy(SchedulingPolicy):
         self.clears += 1
         for thread in range(self.num_threads):
             self._blacklisted[thread] = False
+            self.class_of[thread] = CLASS_RANK
 
     # -- prioritization ---------------------------------------------------
     def priority_key(self, candidate: CommandCandidate, now: int):
@@ -99,6 +102,7 @@ class BlissPolicy(SchedulingPolicy):
             self._streak += 1
             if self._streak > self.threshold and not self._blacklisted[thread]:
                 self._blacklisted[thread] = True
+                self.class_of[thread] = 0
                 self.blacklist_events += 1
         else:
             self._streak_thread = thread

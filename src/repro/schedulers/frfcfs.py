@@ -24,5 +24,11 @@ class FrFcfsPolicy(SchedulingPolicy):
     name = "FR-FCFS"
     needs_scan = False  # stateless: never reads the scan side-info
 
+    def bind(self, controller) -> None:
+        super().bind(controller)
+        # One class for every thread: select ranks column-first, then
+        # oldest-first.
+        self.class_of = [0] * controller.num_threads
+
     def priority_key(self, candidate: CommandCandidate, now: int):
         return (1 if candidate.is_column else 0, -candidate.arrival)

@@ -25,7 +25,7 @@ it is deprioritized.
 from __future__ import annotations
 
 from repro.dram.commands import CommandCandidate
-from repro.schedulers.base import SchedulingPolicy
+from repro.schedulers.base import CLASS_RANK, SchedulingPolicy
 
 
 class StagedPolicy(SchedulingPolicy):
@@ -71,6 +71,7 @@ class StagedPolicy(SchedulingPolicy):
         if streaming_threads is not None:
             for thread in streaming_threads:
                 self._streaming[thread] = True
+        self._rank_classes()
         self._epoch_served = [0] * num_threads
         self._epoch_tick = 0
         self.reclassifications = 0
@@ -95,8 +96,15 @@ class StagedPolicy(SchedulingPolicy):
         if new != self._streaming:
             self.reclassifications += 1
             self._streaming = new
+            self._rank_classes()
         for thread in range(self.num_threads):
             self._epoch_served[thread] = 0
+
+    def _rank_classes(self) -> None:
+        """CPU (non-streaming) threads one class above streaming ones."""
+        self.class_of = [
+            0 if streaming else CLASS_RANK for streaming in self._streaming
+        ]
 
     # -- prioritization ---------------------------------------------------
     def priority_key(self, candidate: CommandCandidate, now: int):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.dram.address import AddressMapper
 from repro.dram.timing import DramTiming
+from repro.schedulers.base import ARRIVAL_LIMIT
 
 
 #: DRAM channels per core count: "Channels scaled with cores: 1, 1, 2, 4
@@ -48,6 +49,14 @@ class SystemConfig:
             raise ValueError("need at least one core")
         if self.page_policy not in ("open", "closed"):
             raise ValueError("page_policy must be 'open' or 'closed'")
+        # A request arrives at most one quantum after the loop's last
+        # tick, which is before max_cycles; the schedulers' integer
+        # ranking orders arrivals below ARRIVAL_LIMIT only.
+        if self.max_cycles + self.timing.dram_cycle > ARRIVAL_LIMIT:
+            raise ValueError(
+                f"max_cycles must be at most "
+                f"{ARRIVAL_LIMIT - self.timing.dram_cycle}"
+            )
 
     @property
     def channels(self) -> int:

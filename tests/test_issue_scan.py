@@ -2,12 +2,14 @@
 
 At each issue the event kernel builds only the part of the ScanInfo the
 issued command's consumers read (``MemoryController._issue_scan``): the
-issued bank's entry of each per-bank field, plus the channel-wide
-column-thread sets for a column command.  The naive kernel's
-``_scan_reads``/``_scan_writes`` build the whole ScanInfo and are the
-oracle.  Over random bank, bus and queue states, in read mode and in
-write-drain mode, every field a consumer reads for every issuable
-(channel-ready) candidate must agree.
+issued bank's ready threads and, for a column command, that bank's
+oldest row-access arrival and the channel-wide ready column threads.
+The naive kernel's ``_scan_reads``/``_scan_writes`` build the whole
+ScanInfo and are the oracle.  Over random bank, bus and queue states, in
+read mode and in write-drain mode, every field a consumer reads for
+every issuable (channel-ready) candidate must agree.  The interference
+receivers of the default waiting basis come from queue counters instead
+(``test_interference_receivers.py``).
 """
 
 from __future__ import annotations
@@ -55,15 +57,11 @@ class ScanReader(FrFcfsPolicy):
 def consumer_view(scan, candidate, ready: bool) -> dict:
     """Every ScanInfo field a consumer may read for ``candidate``."""
     bank = candidate.bank_index
-    view = {
-        "channel": scan.channel,
-        "waiting_bank": scan.waiting_threads_by_bank.get(bank),
-    }
+    view = {"channel": scan.channel}
     if ready:
         view["ready_bank"] = scan.ready_threads_by_bank.get(bank)
     if candidate.is_column:
         view["oldest_row_access"] = scan.oldest_row_access_arrival.get(bank)
-        view["waiting_columns"] = scan.waiting_column_threads
         if ready:
             view["ready_columns"] = scan.ready_column_threads
     return view

@@ -4,7 +4,9 @@
 name, and ``perfbench/tracer.py`` raises when a name is missing.  CI
 runs the traced benchmark under STFM only, so this test wraps the hooks
 of every policy, runs a short simulation under each, and checks that
-``restore`` puts every original back.
+``restore`` puts every original back.  The spans must also keep counting
+calls: every policy's hooks feed ``policy``, and STFM's interference
+updates feed ``estimator``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ def test_trace_simulator_wraps_every_policy_and_restores():
     common = _load("common")
     tracer = _load("tracer").Tracer()
     policies = available_policies(include_extensions=True)
+    assert "stfm" in policies
     try:
         common.trace_simulator(tracer, policies)
         patches = list(tracer._patches)
@@ -56,7 +59,11 @@ def test_trace_simulator_wraps_every_policy_and_restores():
         for owner, attr, original in patches:
             assert owner.__dict__[attr] is not original
         for name in policies:
+            before = {s: tracer.calls(s) for s in ("policy", "estimator")}
             _run(name)
+            assert tracer.calls("policy") > before["policy"], name
+            if name == "stfm":
+                assert tracer.calls("estimator") > before["estimator"]
     finally:
         tracer.restore()
     for owner, attr, original in patches:

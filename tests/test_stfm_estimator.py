@@ -1,4 +1,9 @@
-"""Tests for the TInterference update rules (Section 3.2.2)."""
+"""Tests for the TInterference update rules (Section 3.2.2).
+
+The bus and bank rules name their receivers from the request queues'
+counters, so each case builds the queue state through the harness:
+open a bank's row first (as an ACTIVATE would), then submit requests.
+"""
 
 import pytest
 
@@ -17,12 +22,17 @@ def make_setup(num_threads: int = 3, gamma: float = 0.5):
     return harness, policy.registers, estimator
 
 
-def candidate_for(harness, thread, bank, row, kind, column=0):
+def candidate_for(harness, thread, bank, row, kind, column=0, is_write=False):
     request = harness.controller.make_request(
-        thread, harness.address(bank, row, column), False, harness.now
+        thread, harness.address(bank, row, column), is_write, harness.now
     )
     bank_obj = harness.controller.channels[0].banks[bank]
     return CommandCandidate(kind, request, bank, bank_obj.command_latency(kind))
+
+
+def open_row(harness, bank, row):
+    """Open ``row`` in ``bank`` before any request to it is submitted."""
+    harness.controller.channels[0].banks[bank].open_row = row
 
 
 class TestBankInterference:
@@ -30,9 +40,9 @@ class TestBankInterference:
         harness, registers, estimator = make_setup()
         # Thread 1 waits in bank 0 only: BankWaitingParallelism = 1.
         harness.submit(1, bank=0, row=5)
+        harness.submit(0, bank=0, row=1)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        scan = ScanInfo(0, waiting_threads_by_bank={0: {0, 1}})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         # Latency(R) / (gamma * 1) = (cl + burst) / 0.5, plus the bus term
         # tBus because a column was issued and thread 1 waits on a column?
         # thread 1's request needs an activate, so no bus term applies.
@@ -44,8 +54,7 @@ class TestBankInterference:
         harness, registers, estimator = make_setup()
         harness.submit(0, bank=0, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.ACTIVATE)
-        scan = ScanInfo(0, waiting_threads_by_bank={0: {0}})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         assert registers.threads[0].t_interference == 0.0
 
     def test_amortized_across_waiting_banks(self):
@@ -54,8 +63,7 @@ class TestBankInterference:
         harness.submit(1, bank=0, row=5)
         harness.submit(1, bank=3, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.PRECHARGE)
-        scan = ScanInfo(0, waiting_threads_by_bank={0: {1}})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         timing = harness.timing
         expected = timing.rp / (0.5 * 2)
         assert registers.threads[1].t_interference == pytest.approx(expected)
@@ -64,8 +72,7 @@ class TestBankInterference:
         harness, registers, estimator = make_setup(gamma=1.0)
         harness.submit(1, bank=0, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.PRECHARGE)
-        scan = ScanInfo(0, waiting_threads_by_bank={0: {1}})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         assert registers.threads[1].t_interference == pytest.approx(
             harness.timing.rp
         )
@@ -74,17 +81,20 @@ class TestBankInterference:
         harness, registers, estimator = make_setup()
         harness.submit(1, bank=4, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        scan = ScanInfo(0, waiting_threads_by_bank={0: set()})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         assert registers.threads[1].t_interference == 0.0
 
 
 class TestBusInterference:
     def test_tbus_charged_to_column_waiters(self):
         harness, registers, estimator = make_setup()
+        # Threads 1 and 2 wait on row hits in other banks.
+        open_row(harness, 1, 3)
+        open_row(harness, 2, 4)
+        harness.submit(1, bank=1, row=3)
+        harness.submit(2, bank=2, row=4)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        scan = ScanInfo(0, waiting_column_threads={1, 2})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         assert registers.threads[1].t_interference == pytest.approx(
             harness.timing.t_bus
         )
@@ -92,11 +102,31 @@ class TestBusInterference:
             harness.timing.t_bus
         )
 
+    def test_reads_missing_the_open_row_not_charged_in_read_mode(self):
+        harness, registers, estimator = make_setup()
+        open_row(harness, 1, 3)
+        harness.submit(1, bank=1, row=9)
+        cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        assert registers.threads[1].t_interference == 0.0
+
+    def test_write_drain_charges_every_queued_reader(self):
+        """During a write drain every thread with a queued read on the
+        channel stands in for a column waiter."""
+        harness, registers, estimator = make_setup()
+        harness.submit(1, bank=1, row=9)
+        cand = candidate_for(harness, 0, 0, 1, CommandKind.WRITE, is_write=True)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        assert registers.threads[1].t_interference == pytest.approx(
+            harness.timing.t_bus
+        )
+
     def test_row_commands_do_not_occupy_the_bus(self):
         harness, registers, estimator = make_setup()
+        open_row(harness, 1, 3)
+        harness.submit(1, bank=1, row=3)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.ACTIVATE)
-        scan = ScanInfo(0, waiting_column_threads={1})
-        estimator.on_command_issued(cand, scan, 0)
+        estimator.on_command_issued(cand, ScanInfo(0), 0)
         assert registers.threads[1].t_interference == 0.0
 
 
