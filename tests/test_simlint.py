@@ -131,7 +131,7 @@ class TestSetIteration:
 
     def test_dict_of_set_subscript_fires_cross_file(self):
         # The dict-of-set annotation lives in another file (as
-        # ScanInfo.waiting_threads_by_bank does for the estimator).
+        # ScanInfo.ready_threads_by_bank does for the estimator).
         decl = """
         class ScanBox:
             by_bank: dict[int, set[int]]
