@@ -67,6 +67,22 @@ CASES: dict[str, tuple] = {
         {"page_policy": "closed", "refresh_enabled": True}, 0,
     ),
     "write-capacity-8/stfm": (KERNEL_MIX, "stfm", {}, {"write_capacity": 8}, 0),
+    # Per-bank policy state keyed by channel shows only with two channels.
+    "8core-2ch/nfq": (EIGHT_CORE_MIX, "nfq", {}, {}, 0),
+    "8core-2ch/fr-fcfs+cap": (EIGHT_CORE_MIX, "fr-fcfs+cap", {}, {}, 0),
+    # FR-FCFS+Cap's bypass count across closed-page auto-precharges.
+    "closed-page-refresh/fr-fcfs+cap": (
+        KERNEL_MIX, "fr-fcfs+cap", {},
+        {"page_policy": "closed", "refresh_enabled": True}, 0,
+    ),
+    # The ready basis in frequent write drains and over two channels.
+    "write-capacity-8/stfm-ready-basis": (
+        KERNEL_MIX, "stfm", {"interference_basis": "ready"},
+        {"write_capacity": 8}, 0,
+    ),
+    "8core-2ch/stfm-ready-basis": (
+        EIGHT_CORE_MIX, "stfm", {"interference_basis": "ready"}, {}, 0,
+    ),
 }
 
 
