@@ -6,7 +6,7 @@ scheduler that, each DRAM cycle, picks per-bank best commands and then a
 channel winner, according to a pluggable scheduling policy.
 """
 
-from repro.controller.controller import MemoryController, ScanInfo
+from repro.controller.controller import MemoryController
 from repro.controller.queues import ChannelQueues, RequestQueues
 from repro.controller.request import MemoryRequest
 
@@ -15,5 +15,4 @@ __all__ = [
     "MemoryController",
     "MemoryRequest",
     "RequestQueues",
-    "ScanInfo",
 ]

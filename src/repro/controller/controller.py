@@ -17,7 +17,7 @@ count (requests currently being serviced in banks, Table 1) used by STFM.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.controller.queues import RequestQueues
 from repro.controller.request import MemoryRequest
@@ -82,56 +82,6 @@ class _BankCandidateCache:
         for bank_index in range(len(cands)):
             cands[bank_index] = None
         self.per_bank = None
-
-
-@dataclass
-class ScanInfo:
-    """Side products of one channel's candidate scan.
-
-    STFM's interference updates (Section 3.2.2) need to know, at the
-    moment a command issues, which *other* threads it delays.  On the
-    default *waiting* basis the receivers are threads with a request
-    queued for the resource, which the request queues count as they go
-    (``RequestQueues.waiting`` and each channel's ``thread_reads`` and
-    ``row_hit_reads``); no scan is needed.  The scan carries what those
-    counters do not:
-
-    Attributes:
-        channel: Channel index the scan belongs to.
-        ready_column_threads: Threads with a *ready*, channel-ready
-            column command — the bus-interference receivers on the
-            literal ready basis (below).
-        ready_threads_by_bank: Per bank, threads with a ready command —
-            the bank-interference receivers on the ready basis.
-        oldest_row_access_arrival: Per bank, the arrival time of the
-            oldest queued request that still needs a row access (activate
-            or precharge); used by FR-FCFS+Cap to detect column-over-row
-            bypassing.  Empty during write drains.
-
-    Consumers read only the issued candidate's bank entry of the ready
-    thread sets, plus — when the issued command is a column access —
-    that bank's oldest row-access arrival and the channel-wide column
-    threads (``SchedulingPolicy.needs_scan`` states the rule).  The
-    naive kernel's `_scan_reads`/`_scan_writes` fill every entry and
-    serve as the oracle; the event kernel's `_issue_scan` fills only
-    what that rule lets a consumer read.
-
-    The paper phrases the interference receivers as threads with a
-    *ready* command (footnote 4).  We default to *waiting* requests
-    instead: at DRAM-command granularity a victim's next command is
-    typically unready precisely because of the interferer's in-flight
-    command (bank busy, tRAS not yet satisfied), so the literal reading
-    systematically misses the delay it is supposed to measure.  Waiting
-    requests could have been scheduled had the thread run alone, which
-    is the quantity ``Talone`` needs (see DESIGN.md).  The literal
-    ready-based sets are collected so the estimator-basis ablation can
-    quantify the difference (``stfm-sim run ablate-estimator``).
-    """
-
-    channel: int
-    ready_column_threads: set[int] = field(default_factory=set)
-    ready_threads_by_bank: dict[int, set[int]] = field(default_factory=dict)
-    oldest_row_access_arrival: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -243,8 +193,6 @@ class MemoryController:
             _BankCandidateCache(mapper.num_banks)
             for _ in range(mapper.num_channels)
         ]
-        # What a policy that reads no scan receives at each issue.
-        self._scan_shells = [ScanInfo(c) for c in range(mapper.num_channels)]
 
     def attach_sanitizer(self, sanitizer) -> None:
         """Validate every issued command against DDR2 constraints.
@@ -349,15 +297,15 @@ class MemoryController:
         queues = self.queues.channels[channel.index]
         draining = self._update_drain_mode(channel.index, queues)
         if draining:
-            per_bank, scan = self._scan_writes(channel, queues, now)
+            per_bank = self._scan_writes(channel, queues, now)
         else:
-            per_bank, scan = self._scan_reads(channel, queues, now)
+            per_bank = self._scan_reads(channel, queues, now)
         if not per_bank:
             return
         candidate = self.policy.select(channel.index, per_bank, now)
         if candidate is None:
             return
-        self._issue(channel, candidate, scan, now)
+        self._issue(channel, candidate, per_bank, now)
 
     def _update_drain_mode(self, channel_index: int, queues) -> bool:
         """One write-drain mode transition: drain from the high watermark
@@ -372,24 +320,18 @@ class MemoryController:
         self._draining[channel_index] = draining
         return draining
 
-    def _scan_reads(self, channel: Channel, queues, now: int):
-        """Build ready read candidates and the STFM scan side-info."""
+    def _scan_reads(
+        self, channel: Channel, queues, now: int
+    ) -> dict[int, list[CommandCandidate]]:
+        """Build the ready read candidates of every bank."""
         per_bank: dict[int, list[CommandCandidate]] = {}
-        scan = ScanInfo(channel.index)
         for bank_index, queue in enumerate(queues.bank_queues):
             if not queue:
                 continue
             bank = channel.banks[bank_index]
             candidates: list[CommandCandidate] = []
-            oldest_row_access: int | None = None
             for request in queue:
                 kind = bank.next_command_for(request.coords.row)
-                if kind.is_column and request.is_write:
-                    kind = WRITE
-                if not kind.is_column and (
-                    oldest_row_access is None or request.arrival < oldest_row_access
-                ):
-                    oldest_row_access = request.arrival
                 # Per-bank selection respects only bank constraints;
                 # channel constraints (data bus) are checked at the
                 # across-bank level via `channel_ready` (Section 2.3).
@@ -407,28 +349,13 @@ class MemoryController:
                 )
             if candidates:
                 per_bank[bank_index] = candidates
-                scan.ready_threads_by_bank[bank_index] = {
-                    c.thread_id for c in candidates
-                }
-                scan.ready_column_threads.update(
-                    c.thread_id
-                    for c in candidates
-                    if c.is_column and c.channel_ready
-                )
-            if oldest_row_access is not None:
-                scan.oldest_row_access_arrival[bank_index] = oldest_row_access
-        return per_bank, scan
+        return per_bank
 
-    def _scan_writes(self, channel: Channel, queues, now: int):
-        """Build ready write candidates (write-drain mode).
-
-        For interference accounting on the ready basis during drains,
-        threads with queued reads stand in for "threads with ready
-        commands" (the banks were necessarily free for the command that
-        is about to issue).
-        """
+    def _scan_writes(
+        self, channel: Channel, queues, now: int
+    ) -> dict[int, list[CommandCandidate]]:
+        """Build the ready write candidates (write-drain mode)."""
         per_bank: dict[int, list[CommandCandidate]] = {}
-        scan = ScanInfo(channel.index)
         for request in queues.write_queue:
             bank_index = request.coords.bank
             bank = channel.banks[bank_index]
@@ -446,27 +373,17 @@ class MemoryController:
                 channel_ready=channel_ready,
             )
             per_bank.setdefault(bank_index, []).append(candidate)
-        if per_bank:
-            for bank_index, bank_queue in enumerate(queues.bank_queues):
-                if not bank_queue:
-                    continue
-                threads = {r.thread_id for r in bank_queue}
-                scan.ready_threads_by_bank.setdefault(bank_index, set()).update(
-                    threads
-                )
-                scan.ready_column_threads.update(threads)
-        return per_bank, scan
+        return per_bank
 
     # -- event-kernel fast path ---------------------------------------------
     #
     # Same decisions as `_schedule_channel`, computed incrementally: the
-    # per-bank candidate lists are cached between bank-state changes
-    # (see _BankCandidateCache) and the scan side-info is only
-    # materialized when a command actually issues and the policy reads
-    # it — and then only the entries the issued command's consumers
-    # read (`_issue_scan`).  DESIGN.md §3.14 carries the equivalence
-    # argument; the differential tests in tests/test_event_kernel.py and
-    # tests/test_issue_scan.py enforce it.
+    # per-bank read candidates are cached between bank-state changes
+    # (see _BankCandidateCache) and write candidates are built with the
+    # bank state machine inlined.  DESIGN.md §3.14 carries the
+    # equivalence argument; the differential tests in
+    # tests/test_event_kernel.py and tests/test_candidate_builders.py
+    # enforce it.
 
     def _schedule_channel_fast(self, channel: Channel, now: int) -> None:
         queues = self.queues.channels[channel.index]
@@ -480,11 +397,7 @@ class MemoryController:
         candidate = self.policy.select(channel.index, per_bank, now)
         if candidate is None:
             return
-        if self.policy.needs_scan:
-            scan = self._issue_scan(channel, queues, candidate, per_bank, draining)
-        else:
-            scan = self._scan_shells[channel.index]
-        self._issue(channel, candidate, scan, now)
+        self._issue(channel, candidate, per_bank, now)
 
     def _fast_per_bank(
         self, channel: Channel, queues, now: int
@@ -573,12 +486,11 @@ class MemoryController:
     def _write_candidates(
         self, channel: Channel, queues, now: int
     ) -> dict[int, list[CommandCandidate]]:
-        """Fast-path equivalent of `_scan_writes`'s per-bank candidates.
+        """Fast-path equivalent of `_scan_writes`.
 
-        Bank classification and readiness are inlined (the bank state
+        Bank classification and readiness are inlined: the bank state
         machine's `next_command_for`/`is_ready` composition collapses to
-        three branches for a known-write request); the scan side-info is
-        deferred to `_issue_scan` at issue time.
+        three branches for a known-write request.
         """
         per_bank: dict[int, list[CommandCandidate]] = {}
         banks = channel.banks
@@ -619,76 +531,18 @@ class MemoryController:
                 lst.append(candidate)
         return per_bank
 
-    def _issue_scan(
-        self,
-        channel: Channel,
-        queues,
-        candidate: CommandCandidate,
-        per_bank: dict[int, list[CommandCandidate]],
-        draining: bool,
-    ) -> ScanInfo:
-        """The part of `_scan_reads`/`_scan_writes`'s ScanInfo that the
-        issued ``candidate``'s consumers read (see ScanInfo).
-
-        Called at issue time, before `_issue` mutates any state, so the
-        live queues and open rows are exactly what the naive scan saw.
-        Only the issued bank's oldest row-access arrival, when the
-        command is a column access, and — for policies that declare
-        ``needs_ready_sets`` — the issued bank's ready threads and the
-        channel-wide ready column threads are filled.
-        """
-        scan = ScanInfo(channel.index)
-        bank_index = candidate.bank_index
-        queue = queues.bank_queues[bank_index]
-        is_column = candidate.is_column
-        ready = self.policy.needs_ready_sets
-        if draining:
-            # Queued reads stand in for ready reads (the issuing bank
-            # was free); no oldest row access.
-            if ready:
-                if queue:
-                    scan.ready_threads_by_bank[bank_index] = {
-                        r.thread_id for r in queue
-                    }
-                if is_column:
-                    scan.ready_column_threads = {
-                        r.thread_id for bank_queue in queues.bank_queues
-                        for r in bank_queue
-                    }
-            return scan
-        # Read mode: the candidate came from this bank's (non-empty)
-        # queue.  A row access is a request not hitting the open row.
-        if ready:
-            scan.ready_threads_by_bank[bank_index] = {
-                c.thread_id for c in per_bank[bank_index]
-            }
-        if not is_column:
-            return scan
-        open_row = channel.banks[bank_index].open_row
-        oldest_row_access: "int | None" = None
-        for request in queue:
-            if request.row != open_row and (
-                oldest_row_access is None or request.arrival < oldest_row_access
-            ):
-                oldest_row_access = request.arrival
-        if oldest_row_access is not None:
-            scan.oldest_row_access_arrival[bank_index] = oldest_row_access
-        if ready:
-            scan.ready_column_threads = {
-                c.thread_id
-                for candidates in per_bank.values()
-                for c in candidates
-                if c.is_column and c.channel_ready
-            }
-        return scan
-
     # Kept only because perfbench's ``trace_simulator`` wraps it by name.
     def fast_forward_drain(self, *args):
         raise NotImplementedError
 
     def _issue(
-        self, channel: Channel, candidate: CommandCandidate, scan: ScanInfo, now: int
+        self,
+        channel: Channel,
+        candidate: CommandCandidate,
+        per_bank: dict[int, list[CommandCandidate]],
+        now: int,
     ) -> None:
+        """Apply ``candidate``, chosen from ``per_bank``, at ``now``."""
         request = candidate.request
         bank = channel.banks[candidate.bank_index]
         kind = candidate.kind
@@ -730,7 +584,7 @@ class MemoryController:
                 # unless another request to it is still pending.
                 self._maybe_auto_precharge(channel, bank, request, now)
             self.policy.on_request_completed(request, now)
-        self.policy.on_command_issued(candidate, scan, now)
+        self.policy.on_command_issued(candidate, per_bank, now)
 
     def _maybe_auto_precharge(
         self, channel: Channel, bank, request: MemoryRequest, now: int

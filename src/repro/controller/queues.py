@@ -4,7 +4,7 @@ Besides the queues themselves, this module maintains the incremental
 counters STFM's slowdown estimation reads every DRAM cycle and at every
 issued command:
 
-* ``waiting_bank_count(thread)`` — the number of banks (across all
+* ``waiting_banks[thread]`` — the number of banks (across all
   channels) in which the thread has at least one waiting *read* request;
   this is the paper's ``BankWaitingParallelism`` register (Table 1).
 * ``waiting[thread][global_bank]`` — the thread's reads queued for a
@@ -169,13 +169,6 @@ class RequestQueues:
         for request in queues.bank_queues[bank]:
             if request.row == row:
                 hits[request.thread_id] += delta
-
-    def waiting_bank_count(self, thread_id: int) -> int:
-        """``BankWaitingParallelism``: banks with a waiting read."""
-        return self.waiting_banks[thread_id]
-
-    def queued_reads(self, thread_id: int) -> int:
-        return self.queued_read_counts[thread_id]
 
     def threads_with_reads(self) -> list[int]:
         """Threads that currently have at least one queued read."""

@@ -25,8 +25,8 @@ of the bus and bank rules from counters: on the default *waiting*
 basis the request queues count each thread's reads per bank and per
 channel, and those that hit their bank's open row
 (:mod:`repro.controller.queues`).
-Only the literal *ready* basis, an ablation, reads a scan of the ready
-commands (``ScanInfo``).
+Only the literal *ready* basis, an ablation, reads the ready candidates
+the controller chose the command from.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.core.registers import StfmRegisters
 from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowBufferOutcome
 
 if TYPE_CHECKING:
-    from repro.controller.controller import MemoryController, ScanInfo
+    from repro.controller.controller import MemoryController
     from repro.dram.commands import CommandCandidate
 
 
@@ -65,8 +65,8 @@ class InterferenceEstimator:
             the resource) or ``"ready"`` (the paper's literal wording:
             threads whose next command could issue this cycle).  The
             ready basis systematically underestimates victims' delay at
-            DRAM-command granularity; see ScanInfo's docstring and the
-            ``ablate-estimator`` experiment.
+            DRAM-command granularity; see DESIGN.md §3.10 (item 1) and
+            the ``ablate-estimator`` experiment.
     """
 
     def __init__(
@@ -83,18 +83,24 @@ class InterferenceEstimator:
         self.basis = basis
 
     def on_command_issued(
-        self, candidate: "CommandCandidate", scan: "ScanInfo", now: int
+        self,
+        candidate: "CommandCandidate",
+        per_bank: "dict[int, list[CommandCandidate]]",
+        now: int,
     ) -> None:
         """Run all three update rules for one issued command.
 
-        Called after the controller applied the command.  That changed
-        only the issuer's queue counts (a column command removed its
-        request), and the issuer never receives rules 1a and 1b.
+        Called after the controller applied the command, chosen from
+        ``per_bank``.  That changed only the issuer's queue counts (a
+        column command removed its request), and the issuer never
+        receives rules 1a and 1b.  In a write drain the ready basis lets
+        queued reads stand in for ready ones, which are the waiting
+        basis's receivers.
         """
-        if self.basis == "waiting":
+        if self.basis == "waiting" or candidate.request.is_write:
             self._charge_waiters(candidate)
         else:
-            self._charge_ready(candidate, scan)
+            self._charge_ready(candidate, per_bank)
         if candidate.is_column:
             self._update_own_thread(candidate)
 
@@ -132,30 +138,39 @@ class InterferenceEstimator:
 
     # -- rules 1a and 1b on the ready basis ----------------------------------
     def _charge_ready(
-        self, candidate: "CommandCandidate", scan: "ScanInfo"
+        self,
+        candidate: "CommandCandidate",
+        per_bank: "dict[int, list[CommandCandidate]]",
     ) -> None:
-        """Rules 1a and 1b over the scan's ready sets (the ablation)."""
+        """Rules 1a and 1b over the ready candidates (the ablation): the
+        threads with one in the issued bank and, for a column command,
+        those with a channel-ready column command on the channel."""
         issuer = candidate.thread_id
-        queues = self.controller.queues
-        waiters = scan.ready_threads_by_bank.get(candidate.bank_index)
-        if waiters:
-            latency = candidate.latency
-            # sorted(): the scan structures are sets; a fixed visit order
-            # keeps float interference accumulation bit-reproducible
-            # (SIM003).
-            for thread in sorted(waiters):
-                if thread == issuer:
-                    continue
-                parallelism = max(1, queues.waiting_bank_count(thread))
-                self.registers.add_interference(
-                    thread, latency / (self.gamma * parallelism)
+        threads = self.registers.threads
+        waiting_banks = self.controller.queues.waiting_banks
+        gamma = self.gamma
+        latency = candidate.latency
+        # sorted(): a fixed visit order keeps float interference
+        # accumulation bit-reproducible (SIM003).
+        receivers = {c.thread_id for c in per_bank[candidate.bank_index]}
+        for thread in sorted(receivers):
+            if thread != issuer:
+                # A receiver waits in this bank: its parallelism is >= 1.
+                threads[thread].t_interference += latency / (
+                    gamma * waiting_banks[thread]
                 )
         if not candidate.is_column:
             return
+        ready_columns = {
+            c.thread_id
+            for candidates in per_bank.values()
+            for c in candidates
+            if c.is_column and c.channel_ready
+        }
         t_bus = self.controller.timing.t_bus
-        for thread in sorted(scan.ready_column_threads):
+        for thread in sorted(ready_columns):
             if thread != issuer:
-                self.registers.add_interference(thread, t_bus)
+                threads[thread].t_interference += t_bus
 
     # -- rule 2: own-thread extra latency -----------------------------------
     def _update_own_thread(self, candidate: "CommandCandidate") -> None:

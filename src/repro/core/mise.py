@@ -107,9 +107,6 @@ class MiseStfmPolicy(SchedulingPolicy):
     """STFM's fairness rule driven by MISE slowdown estimation."""
 
     name = "MISE-STFM"
-    # Decisions derive from completion counts and the epoch timer; the
-    # per-issue ScanInfo side products are never read.
-    needs_scan = False
 
     def __init__(
         self,

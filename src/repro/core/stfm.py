@@ -69,9 +69,6 @@ class StfmPolicy(SchedulingPolicy):
         self.alpha = check_alpha(alpha)
         self.gamma = gamma
         self.interference_basis = interference_basis
-        # The waiting basis reads queue counters; only the literal
-        # ready basis reads a scan, and its ready sets.
-        self.needs_scan = self.needs_ready_sets = interference_basis == "ready"
         self.registers = StfmRegisters(
             num_threads, interval_length=interval_length, weights=weights
         )
@@ -210,9 +207,9 @@ class StfmPolicy(SchedulingPolicy):
         return (favored, 1 if candidate.is_column else 0, -candidate.arrival)
 
     # -- event hooks -----------------------------------------------------------
-    def on_command_issued(self, candidate, scan, now) -> None:
+    def on_command_issued(self, candidate, per_bank, now) -> None:
         assert self.estimator is not None
-        self.estimator.on_command_issued(candidate, scan, now)
+        self.estimator.on_command_issued(candidate, per_bank, now)
 
     @property
     def fairness_rule_fraction(self) -> float:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.dram.commands import CommandCandidate
 
 if TYPE_CHECKING:
-    from repro.controller.controller import MemoryController, ScanInfo
+    from repro.controller.controller import MemoryController
     from repro.controller.request import MemoryRequest
 
 #: Arrivals the integer ranking can order: every request's arrival must
@@ -45,32 +45,6 @@ class SchedulingPolicy:
     """Base class for DRAM command prioritization policies."""
 
     name = "base"
-
-    #: Whether :meth:`on_command_issued` reads the ScanInfo side products
-    #: (ready thread sets, oldest row-access arrivals).  The event-driven
-    #: kernel only materializes the ScanInfo for policies that need it —
-    #: others receive an empty shell carrying just the channel index.
-    #: The conservative default is True; policies that ignore the scan
-    #: (or read only ``scan.channel``) override to False to skip a
-    #: per-issue queue walk.  Only FR-FCFS+Cap and STFM on the ready
-    #: basis read it: STFM's default waiting basis reads the request
-    #: queues' counters instead.  The naive kernel always builds the
-    #: full ScanInfo, so a wrong True costs speed, never correctness.
-    #:
-    #: A policy that does read the scan must read only what the event
-    #: kernel fills in at issue time: the issued bank's
-    #: (``candidate.bank_index``) ready threads, and — only when the
-    #: issued command is a column access — that bank's oldest row-access
-    #: arrival and the channel-wide ready column threads.  Every other
-    #: entry is left empty there.
-    needs_scan = True
-
-    #: Whether :meth:`on_command_issued` reads the scan's *ready* sets
-    #: (``ready_threads_by_bank``, ``ready_column_threads``), which only
-    #: STFM's ready-basis ablation does.  The event kernel builds them
-    #: only for policies that say so; the default is the conservative
-    #: True, as for :attr:`needs_scan`.
-    needs_ready_sets = True
 
     #: Per-thread class for the integer ranking: a multiple of
     #: ``CLASS_RANK`` per thread id, larger ranking first.  ``None``
@@ -166,9 +140,16 @@ class SchedulingPolicy:
         """A request entered the request buffer."""
 
     def on_command_issued(
-        self, candidate: CommandCandidate, scan: "ScanInfo", now: int
+        self,
+        candidate: CommandCandidate,
+        per_bank: dict[int, list[CommandCandidate]],
+        now: int,
     ) -> None:
-        """A DRAM command was issued (after bank/bus state was updated)."""
+        """A DRAM command was issued (after bank/bus state was updated).
+
+        ``per_bank`` holds the candidates :meth:`select` chose it from,
+        as they were before the issue.
+        """
 
     def on_request_completed(self, request: "MemoryRequest", now: int) -> None:
         """A request's column command issued; it left the request buffer."""

@@ -32,9 +32,6 @@ class BlissPolicy(SchedulingPolicy):
     """Blacklisting memory scheduler."""
 
     name = "BLISS"
-    # Priorities derive from the blacklist bits alone; the per-issue
-    # ScanInfo side products are never read.
-    needs_scan = False
 
     def __init__(
         self,

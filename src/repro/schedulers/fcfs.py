@@ -16,7 +16,6 @@ class FcfsPolicy(SchedulingPolicy):
     """Oldest-first prioritization among ready commands."""
 
     name = "FCFS"
-    needs_scan = False  # stateless: never reads the scan side-info
 
     def priority_key(self, candidate: CommandCandidate, now: int):
         return (-candidate.arrival, 1 if candidate.is_column else 0)

@@ -22,7 +22,6 @@ class FrFcfsPolicy(SchedulingPolicy):
     """First-ready FCFS prioritization."""
 
     name = "FR-FCFS"
-    needs_scan = False  # stateless: never reads the scan side-info
 
     def bind(self, controller) -> None:
         super().bind(controller)

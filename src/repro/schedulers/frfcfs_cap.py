@@ -22,7 +22,6 @@ class FrFcfsCapPolicy(SchedulingPolicy):
     """FR-FCFS with a per-bank column-bypass cap (default 4, Section 6.3)."""
 
     name = "FR-FCFS+Cap"
-    needs_ready_sets = False  # reads only the oldest row-access arrival
 
     def __init__(self, cap: int = 4) -> None:
         super().__init__()
@@ -32,33 +31,31 @@ class FrFcfsCapPolicy(SchedulingPolicy):
         # (channel, bank) -> younger-column bypass count since the last
         # row access serviced in that bank.
         self._bypass_counts: dict[tuple[int, int], int] = {}
-        self._channel_being_scanned = 0
-
-    def select(self, channel_index, per_bank, now):
-        self._channel_being_scanned = channel_index
-        return super().select(channel_index, per_bank, now)
 
     def priority_key(self, candidate: CommandCandidate, now: int):
-        bank_key = (self._channel_being_scanned, candidate.bank_index)
+        bank_key = (candidate.request.channel, candidate.bank_index)
         capped = self._bypass_counts.get(bank_key, 0) >= self.cap
         column_priority = 1 if (candidate.is_column and not capped) else 0
         return (column_priority, -candidate.arrival)
 
-    def on_command_issued(self, candidate, scan, now) -> None:
-        bank_key = (scan.channel, candidate.bank_index)
-        if candidate.is_column:
-            oldest_row_access = scan.oldest_row_access_arrival.get(
-                candidate.bank_index
-            )
-            bypassed_older = (
-                oldest_row_access is not None
-                and oldest_row_access < candidate.arrival
-            )
-            if bypassed_older:
-                self._bypass_counts[bank_key] = (
-                    self._bypass_counts.get(bank_key, 0) + 1
-                )
-        else:
+    def on_command_issued(self, candidate, per_bank, now) -> None:
+        request = candidate.request
+        bank_key = (request.channel, candidate.bank_index)
+        if not candidate.is_column:
             # A row access was serviced: the waiting row access made
             # progress, so the bypass window restarts.
             self._bypass_counts[bank_key] = 0
+        elif not request.is_write:
+            # The read hit the open row, ``request.row``, and has left
+            # the queue; a closed-page auto-precharge fires only when no
+            # queued read is for that row.  So a queued read for another
+            # row is one still awaiting a row access, and an older one
+            # was bypassed.  A write drain bypasses no read.
+            row = request.row
+            arrival = candidate.arrival
+            channel = self.controller.queues.channels[request.channel]
+            queue = channel.bank_queues[candidate.bank_index]
+            if any(r.row != row and r.arrival < arrival for r in queue):
+                self._bypass_counts[bank_key] = (
+                    self._bypass_counts.get(bank_key, 0) + 1
+                )

@@ -31,9 +31,7 @@ class NfqPolicy(SchedulingPolicy):
     """Fair-queueing (FQ-VFTF) scheduler with virtual finish times."""
 
     name = "NFQ"
-    # on_command_issued reads only scan.channel (present in the shell
-    # ScanInfo the event kernel passes), never the thread sets.
-    needs_scan = False
+
     def __init__(
         self,
         num_threads: int,
@@ -143,17 +141,17 @@ class NfqPolicy(SchedulingPolicy):
     def priority_key(self, candidate: CommandCandidate, now: int):
         raise NotImplementedError("NfqPolicy overrides select()")
 
-    def on_command_issued(self, candidate, scan, now) -> None:
-        bank_key = (scan.channel, candidate.bank_index)
+    def on_command_issued(self, candidate, per_bank, now) -> None:
+        request = candidate.request
+        bank_key = (request.channel, candidate.bank_index)
         tracked = self._blocked_since.get(bank_key)
-        if tracked is not None and tracked[0] is candidate.request:
+        if tracked is not None and tracked[0] is request:
             # The bypassed request finally made progress; the window for
             # the *next* earliest request starts fresh.
             self._blocked_since.pop(bank_key)
         if not candidate.is_column:
             return
-        request = candidate.request
-        key = (request.thread_id, scan.channel, candidate.bank_index)
+        key = (request.thread_id, request.channel, candidate.bank_index)
         # The serviced request's latency depends on how the bank had to be
         # accessed; use the request's actual service composition.
         timing = self.controller.timing

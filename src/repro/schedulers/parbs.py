@@ -32,7 +32,6 @@ class ParBsPolicy(SchedulingPolicy):
     """Parallelism-aware batch scheduler."""
 
     name = "PAR-BS"
-    needs_scan = False  # priorities derive from marks/ranks, not the scan
 
     def __init__(self, num_threads: int, marking_cap: int = 5) -> None:
         """Create the policy.

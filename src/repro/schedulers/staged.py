@@ -32,8 +32,6 @@ class StagedPolicy(SchedulingPolicy):
     """Between-class staged scheduler: deprioritize streaming agents."""
 
     name = "STAGED"
-    # Priorities derive from the class bits; the scan is never read.
-    needs_scan = False
 
     def __init__(
         self,

@@ -4,8 +4,7 @@ There is one simulation loop, ``CmpSystem.run``, in two bit-identical
 modes:
 
 * ``event`` (default) — the controller caches per-bank candidate
-  lists between state changes and builds the issue-time scan only for
-  the entries a policy reads, and a core stalled on its own reads
+  lists between state changes, and a core stalled on its own reads
   sleeps until one of them is scheduled or returns (see DESIGN.md
   §3.14).
 * ``naive`` — the same loop with eager candidate scans and every core

@@ -1,7 +1,7 @@
 """Differential tests: event-driven kernel vs the naive reference kernel.
 
-The event-driven kernel (DESIGN.md §3.14: cached candidate lists, the
-issue-time scan, sleeping cores) must be *bit-identical* to the naive
+The event-driven kernel (DESIGN.md §3.14: cached candidate lists,
+sleeping cores) must be *bit-identical* to the naive
 kernel, which scans eagerly and steps every core on every DRAM cycle —
 not statistically close, the same numbers.  These tests run randomized workloads through both kernels
 (selected via ``STFM_SIM_KERNEL``) across every scheduling policy,
@@ -274,7 +274,7 @@ def test_streaming_agent_mix_bit_identical(monkeypatch, policy_name):
 @pytest.mark.parametrize(
     "policy_kwargs",
     [
-        # The literal ready basis: the issue-time scan's ready sets.
+        # The literal ready basis: receivers from the ready candidates.
         {"interference_basis": "ready"},
         # A short interval: register resets land inside the run.
         {"interval_length": 1 << 12},

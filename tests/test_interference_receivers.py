@@ -13,6 +13,17 @@ contents and the open rows, before the command issues:
 * bus rule, write drain: threads with any queued read on the channel.
 
 The issuer is never a receiver.
+
+The same wrapper checks the two readers of the candidates the issued
+command was chosen from (the ``per_bank`` dict ``_issue`` receives):
+
+* STFM on the literal ready basis charges, in read mode, the threads
+  with a candidate in the issued bank and, for a column command, those
+  with a channel-ready column candidate; in a write drain, queued reads
+  stand in for ready ones, so it charges the queued receivers above;
+* FR-FCFS+Cap counts a column read as a bypass when the issued bank's
+  oldest request still needing a row access (one not hitting the open
+  row), taken before the issue, arrived earlier.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.estimator import InterferenceEstimator
+from repro.schedulers.frfcfs_cap import FrFcfsCapPolicy
 from repro.sim.system import CmpSystem
 from tests.conftest import ControllerHarness
 from tests.test_pinned_results import CASES, simulate
@@ -39,6 +52,27 @@ def reference_receivers(controller, channel_index: int, bank: int) -> dict:
         },
         "bus_drain": {r.thread_id for r in reads},
     }
+
+
+def ready_receivers(per_bank, bank: int) -> dict:
+    """Ready-basis receivers from the pre-issue candidates (read mode)."""
+    return {
+        "bank": {c.thread_id for c in per_bank[bank]},
+        "bus": {
+            c.thread_id
+            for candidates in per_bank.values()
+            for c in candidates
+            if c.is_column and c.channel_ready
+        },
+    }
+
+
+def oldest_row_access(controller, channel_index: int, bank: int):
+    """Arrival of the bank's oldest queued read that misses the open
+    row, or None."""
+    open_row = controller.channels[channel_index].banks[bank].open_row
+    queue = controller.queues.channels[channel_index].bank_queues[bank]
+    return min((r.arrival for r in queue if r.row != open_row), default=None)
 
 
 def counter_receivers(controller, channel_index: int, bank: int) -> dict:
@@ -122,23 +156,35 @@ def install_checks(controller) -> list[int]:
     issue = controller._issue
     tick = controller.tick
     policy = controller.policy
-    # STFM on the waiting basis charges the receivers; check the charges.
+    # STFM charges the receivers; check the charges.
     estimator = getattr(policy, "estimator", None)
-    charges = getattr(estimator, "basis", None) == "waiting"
+    charges = isinstance(estimator, InterferenceEstimator)
+    capped = isinstance(policy, FrFcfsCapPolicy)
     checked = [0]
 
-    def checked_issue(channel, candidate, scan, now):
+    def checked_issue(channel, candidate, per_bank, now):
         request = candidate.request
         issuer = candidate.thread_id
+        bank_key = (channel.index, candidate.bank_index)
         reference = reference_receivers(
             controller, channel.index, candidate.bank_index
+        )
+        ready = (
+            ready_receivers(per_bank, candidate.bank_index)
+            if charges and estimator.basis == "ready" and not request.is_write
+            else None
         )
         before = (
             [t.t_interference for t in policy.registers.threads]
             if charges
             else None
         )
-        issue(channel, candidate, scan, now)
+        if capped:
+            bypasses = policy._bypass_counts.get(bank_key, 0)
+            oldest = oldest_row_access(
+                controller, channel.index, candidate.bank_index
+            )
+        issue(channel, candidate, per_bank, now)
         counters = counter_receivers(
             controller, channel.index, candidate.bank_index
         )
@@ -151,15 +197,25 @@ def install_checks(controller) -> list[int]:
                 rule, candidate,
             )
         checked[0] += 1
+        if capped:
+            if not candidate.is_column:
+                bypasses = 0
+            elif not request.is_write and oldest is not None:
+                bypasses += oldest < candidate.arrival
+            assert policy._bypass_counts.get(bank_key, 0) == bypasses, candidate
         if not charges:
             return
+        bank = reference["bank"]
         bus = reference[bus_rule]
+        if ready is not None:
+            bank = ready["bank"]
+            bus = ready["bus"]
         waiting_banks = controller.queues.waiting_banks
         for thread, registers in enumerate(policy.registers.threads):
             if thread == issuer:
                 continue
             expected = before[thread]
-            if thread in reference["bank"]:
+            if thread in bank:
                 expected += candidate.latency / (
                     estimator.gamma * max(1, waiting_banks[thread])
                 )

@@ -59,7 +59,7 @@ class TestStfmAcrossChannels:
         harness = ControllerHarness(policy=policy, num_threads=2, num_channels=2)
         harness.submit(0, bank=0, row=1, channel=0)
         harness.submit(0, bank=0, row=1, channel=1)
-        assert harness.controller.queues.waiting_bank_count(0) == 2
+        assert harness.controller.queues.waiting_banks[0] == 2
 
     def test_slowdowns_are_global_not_per_channel(self):
         """STFM's registers span channels: interference on channel 0

@@ -54,7 +54,7 @@ class TestRequestQueues:
         two_channel = AddressMapper(num_channels=2)
         request = make_request(two_channel, thread=1, bank=3)
         assert queues.enqueue_read(request)
-        assert queues.queued_reads(1) == 1
+        assert queues.queued_read_counts[1] == 1
         assert queues.total_reads() == 1
         assert queues.threads_with_reads() == [1]
 
@@ -63,14 +63,14 @@ class TestRequestQueues:
         queues = RequestQueues(2, 8, 2)
         for bank in (0, 0, 3):
             queues.enqueue_read(make_request(mapper, thread=0, bank=bank))
-        assert queues.waiting_bank_count(0) == 2  # banks 0 and 3
+        assert queues.waiting_banks[0] == 2  # banks 0 and 3
 
     def test_waiting_bank_count_distinguishes_channels(self):
         mapper = AddressMapper(num_channels=2)
         queues = RequestQueues(2, 8, 1)
         queues.enqueue_read(make_request(mapper, bank=0, channel=0))
         queues.enqueue_read(make_request(mapper, bank=0, channel=1))
-        assert queues.waiting_bank_count(0) == 2
+        assert queues.waiting_banks[0] == 2
 
     def test_remove_read_restores_counts(self):
         mapper = AddressMapper(num_channels=2)
@@ -80,9 +80,9 @@ class TestRequestQueues:
         queues.enqueue_read(first)
         queues.enqueue_read(second)
         queues.remove_read(first)
-        assert queues.waiting_bank_count(0) == 1
+        assert queues.waiting_banks[0] == 1
         queues.remove_read(second)
-        assert queues.waiting_bank_count(0) == 0
+        assert queues.waiting_banks[0] == 0
         assert queues.threads_with_reads() == []
 
     def test_read_capacity_enforced(self):
@@ -102,6 +102,6 @@ class TestRequestQueues:
         mapper = AddressMapper()
         queues = RequestQueues(1, 8, 1)
         queues.enqueue_write(make_request(mapper, is_write=True))
-        assert queues.waiting_bank_count(0) == 0
-        assert queues.queued_reads(0) == 0
+        assert queues.waiting_banks[0] == 0
+        assert queues.queued_read_counts[0] == 0
         assert queues.total_writes() == 1

@@ -130,8 +130,8 @@ class TestSetIteration:
         assert lint(source, SCHED) == []
 
     def test_dict_of_set_subscript_fires_cross_file(self):
-        # The dict-of-set annotation lives in another file (as
-        # ScanInfo.ready_threads_by_bank does for the estimator).
+        # The dict-of-set annotation lives in another file from the
+        # code that iterates one of its values.
         decl = """
         class ScanBox:
             by_bank: dict[int, set[int]]

@@ -7,7 +7,6 @@ open a bank's row first (as an ACTIVATE would), then submit requests.
 
 import pytest
 
-from repro.controller.controller import ScanInfo
 from repro.core.estimator import InterferenceEstimator
 from repro.core.registers import StfmRegisters
 from repro.core.stfm import StfmPolicy
@@ -42,7 +41,7 @@ class TestBankInterference:
         harness.submit(1, bank=0, row=5)
         harness.submit(0, bank=0, row=1)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         # Latency(R) / (gamma * 1) = (cl + burst) / 0.5, plus the bus term
         # tBus because a column was issued and thread 1 waits on a column?
         # thread 1's request needs an activate, so no bus term applies.
@@ -54,7 +53,7 @@ class TestBankInterference:
         harness, registers, estimator = make_setup()
         harness.submit(0, bank=0, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.ACTIVATE)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[0].t_interference == 0.0
 
     def test_amortized_across_waiting_banks(self):
@@ -63,7 +62,7 @@ class TestBankInterference:
         harness.submit(1, bank=0, row=5)
         harness.submit(1, bank=3, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.PRECHARGE)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         timing = harness.timing
         expected = timing.rp / (0.5 * 2)
         assert registers.threads[1].t_interference == pytest.approx(expected)
@@ -72,7 +71,7 @@ class TestBankInterference:
         harness, registers, estimator = make_setup(gamma=1.0)
         harness.submit(1, bank=0, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.PRECHARGE)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == pytest.approx(
             harness.timing.rp
         )
@@ -81,7 +80,7 @@ class TestBankInterference:
         harness, registers, estimator = make_setup()
         harness.submit(1, bank=4, row=5)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == 0.0
 
 
@@ -94,7 +93,7 @@ class TestBusInterference:
         harness.submit(1, bank=1, row=3)
         harness.submit(2, bank=2, row=4)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == pytest.approx(
             harness.timing.t_bus
         )
@@ -107,7 +106,7 @@ class TestBusInterference:
         open_row(harness, 1, 3)
         harness.submit(1, bank=1, row=9)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == 0.0
 
     def test_write_drain_charges_every_queued_reader(self):
@@ -116,7 +115,7 @@ class TestBusInterference:
         harness, registers, estimator = make_setup()
         harness.submit(1, bank=1, row=9)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.WRITE, is_write=True)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == pytest.approx(
             harness.timing.t_bus
         )
@@ -126,7 +125,7 @@ class TestBusInterference:
         open_row(harness, 1, 3)
         harness.submit(1, bank=1, row=3)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.ACTIVATE)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.threads[1].t_interference == 0.0
 
 
@@ -140,7 +139,7 @@ class TestOwnThreadExtraLatency:
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
         cand.request.got_precharge = True  # serviced as a conflict
         cand.request.got_activate = True
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         timing = harness.timing
         assert registers.threads[0].t_interference == pytest.approx(
             timing.rp + timing.rcd
@@ -151,7 +150,7 @@ class TestOwnThreadExtraLatency:
         harness, registers, estimator = make_setup()
         registers.record_row(0, 0, 9)  # alone it would conflict (row 9 open)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         timing = harness.timing
         assert registers.threads[0].t_interference == pytest.approx(
             -(timing.rp + timing.rcd)
@@ -161,7 +160,7 @@ class TestOwnThreadExtraLatency:
         harness, registers, estimator = make_setup()
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
         cand.request.got_activate = True  # serviced as row-closed
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         # Alone it would also have been closed: no extra latency.
         assert registers.threads[0].t_interference == 0.0
 
@@ -172,7 +171,7 @@ class TestOwnThreadExtraLatency:
         registers.record_row(0, 0, 1)
         cand = candidate_for(harness, 0, 0, 1, CommandKind.READ)
         cand.request.got_precharge = True
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         timing = harness.timing
         assert registers.threads[0].t_interference == pytest.approx(
             (timing.rp + timing.rcd) / 2
@@ -181,7 +180,7 @@ class TestOwnThreadExtraLatency:
     def test_last_row_updated_after_service(self):
         harness, registers, estimator = make_setup()
         cand = candidate_for(harness, 0, 2, 7, CommandKind.READ)
-        estimator.on_command_issued(cand, ScanInfo(0), 0)
+        estimator.on_command_issued(cand, {}, 0)
         assert registers.last_row(0, 2) == 7
 
 

@@ -54,10 +54,6 @@ class TestConstruction:
         assert policy.alpha == pytest.approx(1.10)
         assert policy.registers.threads[0].weight == 1.0
 
-    def test_needs_ready_sets_only_for_ready_basis(self):
-        assert not StfmPolicy(2).needs_ready_sets
-        assert StfmPolicy(2, interference_basis="ready").needs_ready_sets
-
     def test_defaults(self):
         policy = StfmPolicy(4)
         assert policy.alpha == pytest.approx(1.10)  # paper Section 6.3
