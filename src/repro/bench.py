@@ -247,11 +247,11 @@ def _time_submit_storm(tmp_dir: str, count: int = 16) -> dict:
     import asyncio
     import threading
 
+    from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
     from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, SimulationService
 
-    service = SimulationService(
-        ServiceConfig(
+    service = ClusterCoordinator(
+        CoordinatorConfig(
             host="127.0.0.1",
             port=0,
             workers=2,

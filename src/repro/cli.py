@@ -210,21 +210,29 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service.server import ServiceConfig, serve
+def _server_dirs(args) -> "tuple[str | None, str]":
+    """The store location and state directory of ``serve``,
+    ``coordinator`` and ``cluster``."""
+    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
+    state_dir = args.state_dir or os.path.join(
+        args.cache_dir or default_cache_dir(), args.state_subdir
+    )
+    return cache_dir, state_dir
 
-    if args.workers < 1:
+
+def _cmd_serve(args) -> int:
+    """``serve`` (in-process runners) and ``coordinator`` (none)."""
+    from repro.cluster.coordinator import CoordinatorConfig, run_coordinator
+
+    if args.command == "serve" and args.workers < 1:
         print("serve: need at least one worker", file=sys.stderr)
         return 2
     if args.inject:
         rc = _enable_faults(args.inject)
         if rc:
             return rc
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "service"
-    )
-    config = ServiceConfig(
+    cache_dir, state_dir = _server_dirs(args)
+    config = CoordinatorConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -233,8 +241,9 @@ def _cmd_serve(args) -> int:
         cache_dir=cache_dir,
         state_dir=state_dir,
         job_timeout=args.job_timeout,
+        lease_ttl=args.lease_ttl,
     )
-    return serve(config)
+    return run_coordinator(config)
 
 
 def _build_submit_spec(args) -> dict:
@@ -355,28 +364,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_coordinator(args) -> int:
-    from repro.cluster.coordinator import CoordinatorConfig, run_coordinator
-
-    if args.inject:
-        rc = _enable_faults(args.inject)
-        if rc:
-            return rc
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "coordinator"
-    )
-    config = CoordinatorConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        cache_dir=cache_dir,
-        state_dir=state_dir,
-        lease_ttl=args.lease_ttl,
-    )
-    return run_coordinator(config)
-
-
 def _cmd_runner(args) -> int:
     from repro.cluster.runner import RunnerConfig, run_runner
 
@@ -400,10 +387,7 @@ def _cmd_runner(args) -> int:
 def _cmd_cluster(args) -> int:
     from repro.cluster.supervisor import LocalCluster, run_local_cluster
 
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    state_dir = args.state_dir or os.path.join(
-        args.cache_dir or default_cache_dir(), "coordinator"
-    )
+    cache_dir, state_dir = _server_dirs(args)
     cluster = LocalCluster(
         runners=args.runners,
         cache_dir=cache_dir,
@@ -523,6 +507,45 @@ def _cmd_benchmarks(_args) -> int:
         )
     )
     return 0
+
+
+#: Default lease TTL of ``coordinator``, ``cluster`` and (fixed) ``serve``.
+_LEASE_TTL = 15.0
+
+
+def _add_server_arguments(
+    parser: argparse.ArgumentParser, state_subdir: str, inject: bool = True
+) -> None:
+    """The flags ``serve``, ``coordinator`` and ``cluster`` share."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8765, help="0 picks a free port"
+    )
+    parser.add_argument(
+        "--queue-limit", type=int, default=32,
+        help="admission queue capacity (429 beyond this)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="LOCATION", default=None,
+        help="shared result store: a directory, 'sqlite:/path.db', or "
+        "an http:// URL (default: $STFM_SIM_CACHE_DIR or "
+        "~/.cache/stfm-sim)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the shared result store (and the store proxy)",
+    )
+    parser.add_argument(
+        "--state-dir", metavar="PATH", default=None,
+        help=f"job + lease state directory (default: "
+        f"<cache-dir>/{state_subdir})",
+    )
+    if inject:
+        parser.add_argument(
+            "--inject", nargs="+", metavar="SITE=RATE", default=None,
+            help="deterministic fault injection (repro.faults)",
+        )
+    parser.set_defaults(state_subdir=state_subdir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -712,45 +735,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="run the HTTP simulation service (see repro.service)"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8765, help="0 picks a free port"
-    )
+    _add_server_arguments(serve_parser, "service")
     serve_parser.add_argument(
         "--workers", type=int, default=2,
         help="concurrent jobs (worker threads)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=32,
-        help="admission queue capacity (429 beyond this)",
     )
     serve_parser.add_argument(
         "--engine-jobs", type=int, default=1, metavar="N",
         help="simulation worker processes per running job",
     )
     serve_parser.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="shared result store (default: $STFM_SIM_CACHE_DIR or "
-        "~/.cache/stfm-sim)",
-    )
-    serve_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared result store (no cross-client dedup)",
-    )
-    serve_parser.add_argument(
-        "--state-dir", metavar="PATH", default=None,
-        help="job-state directory (default: <cache-dir>/service)",
-    )
-    serve_parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
         help="per-job watchdog deadline; a job past it is FAILED "
         "(default: no deadline)",
     )
-    serve_parser.add_argument(
-        "--inject", nargs="+", metavar="SITE=RATE", default=None,
-        help="deterministic fault injection (repro.faults)",
-    )
-    serve_parser.set_defaults(func=_cmd_serve)
+    serve_parser.set_defaults(func=_cmd_serve, lease_ttl=_LEASE_TTL)
 
     submit_parser = sub.add_parser(
         "submit", help="submit a job to a running service"
@@ -818,38 +817,14 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator", help="run a cluster coordinator: admission, "
         "leases, and the store proxy (see repro.cluster)"
     )
-    coord_parser.add_argument("--host", default="127.0.0.1")
+    _add_server_arguments(coord_parser, "coordinator")
     coord_parser.add_argument(
-        "--port", type=int, default=8765, help="0 picks a free port"
-    )
-    coord_parser.add_argument(
-        "--queue-limit", type=int, default=32,
-        help="admission queue capacity (429 beyond this)",
-    )
-    coord_parser.add_argument(
-        "--cache-dir", metavar="LOCATION", default=None,
-        help="shared result store: a directory, 'sqlite:/path.db', or "
-        "an http:// URL (default: $STFM_SIM_CACHE_DIR or "
-        "~/.cache/stfm-sim)",
-    )
-    coord_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared store (and the store proxy)",
-    )
-    coord_parser.add_argument(
-        "--state-dir", metavar="PATH", default=None,
-        help="job + lease state directory (default: "
-        "<cache-dir>/coordinator)",
-    )
-    coord_parser.add_argument(
-        "--lease-ttl", type=float, default=15.0, metavar="SECONDS",
+        "--lease-ttl", type=float, default=_LEASE_TTL, metavar="SECONDS",
         help="seconds a lease survives without a heartbeat",
     )
-    coord_parser.add_argument(
-        "--inject", nargs="+", metavar="SITE=RATE", default=None,
-        help="deterministic fault injection (repro.faults)",
+    coord_parser.set_defaults(
+        func=_cmd_serve, workers=0, engine_jobs=1, job_timeout=None
     )
-    coord_parser.set_defaults(func=_cmd_coordinator)
 
     runner_parser = sub.add_parser(
         "runner", help="run a cluster runner: lease jobs from a "
@@ -902,29 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--runners", type=int, default=2, metavar="N"
     )
-    cluster_parser.add_argument("--host", default="127.0.0.1")
+    _add_server_arguments(cluster_parser, "coordinator", inject=False)
     cluster_parser.add_argument(
-        "--port", type=int, default=8765, help="0 picks a free port"
-    )
-    cluster_parser.add_argument(
-        "--queue-limit", type=int, default=32,
-        help="admission queue capacity",
-    )
-    cluster_parser.add_argument(
-        "--cache-dir", metavar="LOCATION", default=None,
-        help="shared result store for the coordinator (runners mount "
-        "it over the store proxy)",
-    )
-    cluster_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared store",
-    )
-    cluster_parser.add_argument(
-        "--state-dir", metavar="PATH", default=None,
-        help="coordinator state directory",
-    )
-    cluster_parser.add_argument(
-        "--lease-ttl", type=float, default=15.0, metavar="SECONDS",
+        "--lease-ttl", type=float, default=_LEASE_TTL, metavar="SECONDS",
         help="lease TTL for the coordinator",
     )
     cluster_parser.add_argument(

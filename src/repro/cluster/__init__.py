@@ -1,13 +1,15 @@
 """Distributed sweep cluster: coordinator/runner topology.
 
-The single-process service (``repro.service``) splits into two roles:
+Two roles:
 
 * a **coordinator** (:class:`~repro.cluster.coordinator.ClusterCoordinator`)
   that owns admission, job state, the durable lease table, and —
-  optionally — the shared result store, served over HTTP; and
+  optionally — the shared result store, served over HTTP.  With
+  ``workers > 0`` it is single-process ``stfm-sim serve``: in-process
+  runners lease its jobs by direct call; and
 * N **runner** processes (:class:`~repro.cluster.runner.ClusterRunner`)
   that lease jobs from the coordinator, execute them through the same
-  engine as single-process ``serve``, heartbeat while working, and post
+  engine as the in-process runners, heartbeat while working, and post
   results back.
 
 Delivery is *at-least-once*: a lease that misses its heartbeats expires

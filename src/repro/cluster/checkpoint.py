@@ -28,10 +28,10 @@ which is exactly the fresh-directory behavior.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from repro.engine.backends.fs import atomic_write
 
 
 @dataclass
@@ -81,18 +81,6 @@ class CoordinatorCheckpoint:
         continuity, never correctness of job settlement)."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-ckpt-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(asdict(state), handle)
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path, json.dumps(asdict(state)).encode())
         except OSError:
             pass

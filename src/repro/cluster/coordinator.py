@@ -1,11 +1,26 @@
-"""The cluster coordinator: admission, leases, and the store proxy.
+"""The coordinator: admission, job state, leases, and the store proxy.
 
-A :class:`ClusterCoordinator` *is* a :class:`SimulationService` with
-zero in-process workers: the same submission endpoints, job state,
-idempotency and digest-coalescing behavior — but instead of a worker
-pool draining the admission queue, runner processes lease jobs over
-HTTP and post results back.  Extra endpoints::
+One :class:`ClusterCoordinator` is both ``stfm-sim serve`` and
+``stfm-sim coordinator``.  It owns the bounded admission queue, the
+crash-safe job state, idempotent and digest-coalesced submission,
+``/metrics``, and the durable lease table.  Every job, wherever it
+runs, is started by a lease grant and settled by a lease completion:
 
+* ``workers=0`` (the cluster): runner processes lease jobs over HTTP
+  and post results back;
+* ``workers=N`` (``serve``): N in-process runners take jobs off the
+  queue, lease them by direct call, execute them on a thread pool and
+  heartbeat by direct call until they settle.
+
+Endpoints::
+
+    POST /v1/jobs                    submit a spec    202 | 200 (coalesced) |
+                                                      400 | 429 (+Retry-After) | 503
+    GET  /v1/jobs/<id>               job status       200 | 404
+    GET  /v1/results                 job listing      200
+    GET  /v1/results/<id>            result payload   200 (terminal) | 202 | 404
+    GET  /healthz                    liveness + drain state
+    GET  /metrics                    Prometheus text (version 0.0.4)
     POST /v1/leases                  lease a job      200 | 204 (none) | 400 | 503
     POST /v1/leases/<id>/heartbeat   extend deadline  200 | 410 (lost)
     POST /v1/leases/<id>/complete    settle the job   200 | 400 | 410 (redelivered)
@@ -16,46 +31,65 @@ HTTP and post results back.  Extra endpoints::
     GET  /v1/store                   store stats      200
     POST /v1/store/prune             prune the store  200
 
+Identical specs submitted while one is queued or running coalesce onto
+the same job id (cross-client dedup *above* the engine); identical
+simulation sub-jobs of *different* specs dedup below, in the shared
+content-addressed result store.
+
 Leases are routed with *cache affinity*: each pending job's spec digest
 maps onto a live runner by rendezvous hashing, and a requesting runner
 is preferentially given jobs it owns — identical and near-identical
 specs keep landing on the runner whose engine memory cache is already
 warm.  Routing is work-conserving: a runner that owns nothing pending
-takes the oldest job rather than idling.
+takes the oldest job rather than idling.  In-process runners take the
+oldest job.
 
 A lease that misses its heartbeats expires: the job is requeued at the
 front and the next lease request redelivers it (at-least-once).  A
 completion for an expired lease is answered ``410 Gone`` and its
-payload discarded, so only one attempt ever settles a job.
+payload discarded, so only one attempt ever settles a job.  On SIGTERM
+the coordinator stops admitting (503), lets the in-process runners
+finish every admitted job, waits for active leases, persists state and
+exits 0.
 
 The lease lifecycle and the status codes above are declared once, as
 data, in :mod:`repro.cluster.lease_model`; ``simlint`` (SIM107/SIM108)
 checks the handlers against that model statically, and the opt-in
 :class:`~repro.cluster.lease_model.LeaseSanitizer` replays every
-transition at runtime during cluster tests.
+transition at runtime.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import hashlib
 import json
 import math
 import re
+import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
+from repro import faults
+from repro.engine import session_report
+from repro.engine.store import ResultStore
 from repro.service import state as jobstate
+from repro.service.api import SpecError, parse_spec, spec_digest
 from repro.service.metrics import MetricsRegistry
+from repro.service.queue import AdmissionQueue, QueueFullError
 from repro.service.server import (
-    ServiceConfig,
-    SimulationService,
     _HttpError,
     _json_response,
+    _read_request,
+    _serialize_response,
 )
+from repro.service.state import Job, JobStore
+from repro.service.workers import execute_spec
 from repro.cluster.checkpoint import CheckpointState, CoordinatorCheckpoint
-from repro.cluster.leases import LeaseTable
+from repro.cluster.leases import Lease, LeaseTable
 
 _KEY_RE = re.compile(r"[A-Za-z0-9._-]{1,200}")
 
@@ -66,31 +100,52 @@ _LIVENESS_TTLS = 3.0
 
 @dataclass(frozen=True)
 class CoordinatorConfig:
-    """Everything ``stfm-sim coordinator`` needs."""
+    """Everything ``stfm-sim serve`` and ``stfm-sim coordinator`` need."""
 
     host: str = "127.0.0.1"
     port: int = 8765  # 0 = pick a free port (tests)
+    workers: int = 0  # in-process runners; 0 = runner processes only
     queue_limit: int = 32
+    engine_jobs: int = 1  # simulation processes per in-process job
     cache_dir: "str | None" = None  # shared store location (any backend)
     state_dir: str = "stfm-coordinator-state"
+    job_timeout: "float | None" = None  # in-process watchdog deadline, s
     lease_ttl: float = 15.0
 
-    def service_config(self) -> ServiceConfig:
-        return ServiceConfig(
-            host=self.host,
-            port=self.port,
-            workers=0,  # runners execute; the coordinator only routes
-            queue_limit=self.queue_limit,
-            cache_dir=self.cache_dir,
-            state_dir=self.state_dir,
-        )
 
+class ClusterCoordinator:
+    """Queue, job state, leases, metrics and HTTP for one state dir.
 
-class ClusterCoordinator(SimulationService):
-    """A workerless service whose queue drains through leases."""
+    Args:
+        config: See :class:`CoordinatorConfig`.  ``workers=0`` is
+            allowed — nothing executes in-process, which the cluster
+            and the backpressure tests rely on.  ``job_timeout`` (None
+            disables it) fails an in-process job past its deadline with
+            a ``watchdog:`` error and settles its lease; its thread
+            cannot be killed and runs on until the engine's own
+            per-process timeouts fire, but the runner moves on and the
+            late result is discarded.
+    """
 
     def __init__(self, config: CoordinatorConfig) -> None:
-        self.cluster_config = config
+        if config.workers < 0:
+            raise ValueError("worker count cannot be negative")
+        if config.job_timeout is not None and config.job_timeout <= 0:
+            raise ValueError("job_timeout must be positive")
+        self.config = config
+        self.store = (
+            ResultStore(config.cache_dir) if config.cache_dir else None
+        )
+        self.state = JobStore(config.state_dir)
+        self.jobs: dict[str, Job] = {}
+        self._active_by_digest: dict[str, str] = {}
+        self._by_idempotency: dict[str, str] = {}
+        self._seq = 0
+        self.queue = AdmissionQueue(config.queue_limit)
+        self.draining = False
+        self._stop_requested = asyncio.Event()
+        self._server: "asyncio.base_events.Server | None" = None
+        self.port = config.port
         # The checkpoint makes incarnation-scoped state durable: lease
         # ids embed the incarnation (no cross-crash collisions), and
         # the recovery / expiry counters accumulate across restarts.
@@ -110,11 +165,97 @@ class ClusterCoordinator(SimulationService):
         self._runner_engine: dict[str, dict[str, int]] = {}
         self._runner_capacity: dict[str, int] = {}
         self._runner_breaker_opens: dict[str, int] = {}
-        self._sweep_task: "asyncio.Task | None" = None
-        super().__init__(config.service_config())
+        self.watchdog_timeouts = 0
+        self._tasks: list[asyncio.Task] = []  # the sweep + local runners
+        self._executor: "concurrent.futures.ThreadPoolExecutor | None" = None
+        self._build_metrics()
 
-    # -- metrics -------------------------------------------------------------
-    def _register_extra_metrics(self, m: MetricsRegistry) -> None:
+    # -- metrics ------------------------------------------------------------
+    def _build_metrics(self) -> None:
+        m = MetricsRegistry()
+        self.metrics = m
+        m.gauge(
+            "stfm_service_queue_depth",
+            "Jobs admitted but not yet picked up by a runner.",
+            read=lambda: self.queue.depth,
+        )
+        m.gauge(
+            "stfm_service_inflight_jobs",
+            "Jobs currently executing (active leases).",
+            read=lambda: len(self.leases),
+        )
+        m.gauge(
+            "stfm_service_draining",
+            "1 while the service is draining after SIGTERM.",
+            read=lambda: int(self.draining),
+        )
+        self.m_http = m.counter(
+            "stfm_service_http_requests_total",
+            "HTTP responses served, by status code.",
+        )
+        self.m_jobs = m.counter(
+            "stfm_service_jobs_total",
+            "Job admissions and outcomes, by event.",
+        )
+        self.m_wall = m.summary(
+            "stfm_service_job_wall_seconds",
+            "Wall-clock seconds per executed job.",
+        )
+        m.gauge(
+            "stfm_store_hits_total",
+            "Result-store lookups answered from disk (cross-client dedup).",
+            read=lambda: self.store.hits if self.store else 0,
+        )
+        m.gauge(
+            "stfm_store_misses_total",
+            "Result-store lookups that required simulation.",
+            read=lambda: self.store.misses if self.store else 0,
+        )
+        m.gauge(
+            "stfm_store_entries",
+            "Entries currently in the shared result store.",
+            read=lambda: self.store.stats().entries if self.store else 0,
+        )
+        m.gauge(
+            "stfm_engine_jobs_simulated_total",
+            "Simulation jobs actually executed by this process's engine.",
+            read=lambda: session_report().jobs_run,
+        )
+        m.gauge(
+            "stfm_engine_cache_hits_total",
+            "Engine cache hits (memory + disk) in this process.",
+            read=lambda: session_report().hits,
+        )
+        m.gauge(
+            "stfm_engine_retries_total",
+            "Worker crash/timeout retries by this process's engine.",
+            read=lambda: session_report().retries,
+        )
+        m.gauge(
+            "stfm_engine_fallbacks_total",
+            "Clean-room fallback attempts after fault-exhausted retries.",
+            read=lambda: session_report().fallbacks,
+        )
+        m.gauge(
+            "stfm_store_quarantined_total",
+            "Corrupt result-store entries quarantined on read.",
+            read=lambda: self.store.quarantined if self.store else 0,
+        )
+        m.gauge(
+            "stfm_store_put_errors_total",
+            "Best-effort result-store writes that failed (disk full, EIO).",
+            read=lambda: self.store.put_errors if self.store else 0,
+        )
+        m.gauge(
+            "stfm_service_watchdog_timeouts_total",
+            "Jobs failed by the per-job deadline watchdog.",
+            read=lambda: self.watchdog_timeouts,
+        )
+        m.gauge(
+            "stfm_faults_injected_total",
+            "Faults fired by the STFM_SIM_FAULTS injection layer.",
+            read=faults.injected_total,
+        )
         m.multi_gauge(
             "stfm_cluster_active_leases",
             "Leases currently held, per runner.",
@@ -205,8 +346,10 @@ class ClusterCoordinator(SimulationService):
             ],
         )
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
+        """Recover persisted state, open the listener, start the lease
+        sweep and the in-process runners."""
         stale = self.leases.recover()
         if stale:
             print(
@@ -214,18 +357,38 @@ class ClusterCoordinator(SimulationService):
                 f"previous incarnation",
                 flush=True,
             )
-        await super().start()
-        # super().start() re-queued every non-terminal job; fold the
-        # count into the durable cumulative recovery counter.
-        self.resume_recoveries += self.resumed_jobs
-        if self.resumed_jobs:
+        jobs, requeue = self.state.recover()
+        for job in jobs:
+            self.jobs[job.id] = job
+            self._seq = max(self._seq, job.seq)
+            if job.idempotency_key:
+                self._by_idempotency[job.idempotency_key] = job.id
+        for job in requeue:
+            self._active_by_digest[job.digest] = job.id
+            self.queue.submit(job.id, inflight=len(self.leases))
+        self._server = await asyncio.start_server(
+            self._handle, host=self.config.host, port=self.config.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        self.resume_recoveries += len(requeue)
+        if requeue:
             print(
-                f"recovered: re-queued {self.resumed_jobs} job(s) "
+                f"recovered: re-queued {len(requeue)} job(s) "
                 f"(incarnation {self.incarnation})",
                 flush=True,
             )
         self._save_checkpoint()
-        self._sweep_task = asyncio.create_task(self._sweep_loop())
+        loop = asyncio.get_running_loop()
+        self._tasks = [loop.create_task(self._sweep_loop())]
+        if self.config.workers:
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.config.workers,
+                thread_name_prefix="stfm-sim-worker",
+            )
+            self._tasks += [
+                loop.create_task(self._local_runner(f"local-{i}"))
+                for i in range(self.config.workers)
+            ]
 
     def _save_checkpoint(self) -> None:
         self.checkpoint.save(CheckpointState(
@@ -236,25 +399,60 @@ class ClusterCoordinator(SimulationService):
             late_completions=self.leases.late_completions,
         ))
 
-    async def drain_and_stop(self) -> None:
+    def request_drain(self) -> None:
+        """Signal-safe: stop admitting and let :meth:`run` finish up."""
         self.draining = True
-        # Outstanding leases either complete (live runner) or expire and
-        # requeue.  Requeued jobs persist as QUEUED and recover on the
-        # next start, so drain waits for active leases only — never for
-        # the queue to empty.
+        self._stop_requested.set()
+
+    async def drain_and_stop(self) -> None:
+        """Stop admitting, let in-process runners finish every admitted
+        job, wait for active leases, then shut everything down."""
+        self.draining = True
+        if self.config.workers:
+            await self.queue.join()
+        # Outstanding remote leases either complete (live runner) or
+        # expire and requeue.  Requeued jobs persist as QUEUED and
+        # recover on the next start, so without in-process runners
+        # drain never waits for the queue to empty.
         deadline = time.monotonic() + self.leases.ttl + 5.0
         while self.leases.active() and time.monotonic() < deadline:
             self._expire_due()
             await asyncio.sleep(0.05)
-        if self._sweep_task is not None:
-            self._sweep_task.cancel()
+        for task in self._tasks:
+            task.cancel()
+        for task in self._tasks:
             try:
-                await self._sweep_task
+                await task
             except asyncio.CancelledError:
                 pass
-            self._sweep_task = None
+        self._tasks = []
         self._save_checkpoint()
-        await super().drain_and_stop()
+        if self._executor is not None:
+            # wait=False: any thread still running belongs to a
+            # watchdog-abandoned job — waiting for it would stall the
+            # event loop indefinitely.
+            self._executor.shutdown(wait=False)
+            self._executor = None
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+
+    async def run(self) -> None:
+        """Serve until SIGTERM/SIGINT, then drain gracefully."""
+        await self.start()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, self.request_drain)
+        print(
+            f"stfm-sim service listening on "
+            f"http://{self.config.host}:{self.port}",
+            flush=True,
+        )
+        await self._stop_requested.wait()
+        print("draining: finishing admitted jobs ...", flush=True)
+        await self.drain_and_stop()
+        print("drained; bye", flush=True)
 
     async def _sweep_loop(self) -> None:
         interval = max(0.05, min(1.0, self.leases.ttl / 4.0))
@@ -275,10 +473,213 @@ class ClusterCoordinator(SimulationService):
             self.queue.requeue(job.id)
             self.m_jobs.inc(event="redelivered")
 
-    # -- routing -------------------------------------------------------------
-    def _route_extra(
+    # -- the job lifecycle --------------------------------------------------
+    def _start_lease(self, job_id: str, runner: str, now: float) -> Lease:
+        """Lease a job just taken off the queue to ``runner``."""
+        job = self.jobs[job_id]
+        job.status = jobstate.RUNNING
+        lease = self.leases.grant(job_id, job.digest, runner, now)
+        job.attempts = lease.attempt
+        self.state.save(job)
+        self.m_jobs.inc(event="leased")
+        return lease
+
+    def _settle_lease(
+        self, lease_id: str, result: "dict | None", error: "str | None",
+        wall: float,
+    ) -> "Lease | None":
+        """Settle a lease with its job's outcome; None when the lease
+        already expired (a late duplicate, discarded)."""
+        lease = self.leases.complete(lease_id)
+        if lease is None:
+            return None
+        job = self.jobs[lease.job_id]
+        job.runner = lease.runner
+        if error is None and result is None:
+            error = "runner reported neither result nor error"
+        self._job_done(job.id, result, error, wall)
+        self.queue.observe(wall)
+        self.queue.task_done()
+        return lease
+
+    def _job_done(
+        self, job_id: str, result: "dict | None", error: "str | None",
+        wall: float,
+    ) -> None:
+        job = self.jobs[job_id]
+        job.wall_time = wall
+        if error is None:
+            job.status = jobstate.DONE
+            job.result = result
+            self.m_jobs.inc(event="done")
+        else:
+            job.status = jobstate.FAILED
+            job.error = error
+            self.m_jobs.inc(event="failed")
+        self.m_wall.observe(wall)
+        if self._active_by_digest.get(job.digest) == job_id:
+            del self._active_by_digest[job.digest]
+        self.state.save(job)
+
+    async def _local_runner(self, name: str) -> None:
+        """One in-process runner: lease the oldest queued job, execute
+        it on the thread pool while heartbeating every ``ttl/3``, and
+        settle the lease with the outcome.  Any exception out of the
+        engine fails that job only."""
+        loop = asyncio.get_running_loop()
+        timeout = self.config.job_timeout
+        while True:
+            job_id = await self.queue.get()
+            lease = self._start_lease(job_id, name, time.monotonic())
+            started = time.perf_counter()
+            result = None
+            error = None
+            try:
+                if faults.fires("service", job_id):
+                    raise RuntimeError("injected service worker fault")
+                future = loop.run_in_executor(self._executor, partial(
+                    execute_spec,
+                    self.jobs[job_id].spec,
+                    store=self.store,
+                    engine_jobs=self.config.engine_jobs,
+                ))
+                deadline = None if timeout is None else loop.time() + timeout
+                while True:
+                    wait = self.leases.ttl / 3.0
+                    if deadline is not None:
+                        wait = min(wait, deadline - loop.time())
+                    await asyncio.wait({future}, timeout=max(0.0, wait))
+                    if future.done():
+                        result = future.result()
+                        break
+                    if deadline is not None and loop.time() >= deadline:
+                        self.watchdog_timeouts += 1
+                        error = (
+                            f"watchdog: job exceeded {timeout:g}s deadline"
+                        )
+                        # The thread cannot be killed; discard whatever
+                        # it eventually produces (result or exception)
+                        # so the orphan never logs "exception was never
+                        # retrieved".
+                        future.add_done_callback(
+                            lambda f: f.cancelled() or f.exception()
+                        )
+                        break
+                    self.leases.heartbeat(lease.id, time.monotonic())
+            except asyncio.CancelledError:
+                raise
+            except BaseException as exc:  # a crash marks the job failed
+                error = f"{type(exc).__name__}: {exc}"
+            self._settle_lease(
+                lease.id, result, error, time.perf_counter() - started
+            )
+
+    def _submit(
+        self, raw_spec: object, idempotency_key: "str | None" = None
+    ) -> tuple[int, dict]:
+        spec = parse_spec(raw_spec)  # SpecError → 400 (handled by caller)
+        normalized = spec.normalized()
+        digest = spec_digest(normalized)
+        if idempotency_key is not None:
+            # A retried POST (response lost, connection dropped) carries
+            # the same key as the original attempt and must land on the
+            # job that attempt created — even if it finished meanwhile.
+            known = self._by_idempotency.get(idempotency_key)
+            if known is not None and known in self.jobs:
+                self.m_jobs.inc(event="idempotent_replay")
+                view = self.jobs[known].view()
+                view["deduplicated"] = True
+                return 200, view
+        active = self._active_by_digest.get(digest)
+        if active is not None:
+            self.m_jobs.inc(event="coalesced")
+            job = self.jobs[active]
+            if idempotency_key is not None:
+                self._by_idempotency[idempotency_key] = job.id
+            view = job.view()
+            view["deduplicated"] = True
+            return 200, view
+        self._seq += 1
+        job = Job(
+            id=f"{digest[:12]}-{self._seq:04d}",
+            spec=normalized,
+            digest=digest,
+            seq=self._seq,
+            idempotency_key=idempotency_key,
+        )
+        try:
+            self.queue.submit(job.id, inflight=len(self.leases))
+        except QueueFullError:
+            self._seq -= 1
+            self.m_jobs.inc(event="rejected")
+            raise
+        self.jobs[job.id] = job
+        self._active_by_digest[digest] = job.id
+        if idempotency_key is not None:
+            self._by_idempotency[idempotency_key] = job.id
+        self.state.save(job)
+        self.m_jobs.inc(event="submitted")
+        view = job.view()
+        view["deduplicated"] = False
+        view["location"] = f"/v1/jobs/{job.id}"
+        return 202, view
+
+    # -- HTTP ---------------------------------------------------------------
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        status, headers, body = 500, {}, b""
+        try:
+            request = await _read_request(reader)
+            if request is None:
+                writer.close()
+                return
+            method, path, req_headers, req_body = request
+            status, headers, body = self._route(
+                method, path, req_headers, req_body
+            )
+        except _HttpError as exc:
+            status, headers, body = _json_response(
+                exc.status, {"error": exc.message}
+            )
+        except Exception as exc:  # never kill the server on one request
+            status, headers, body = _json_response(
+                500, {"error": f"{type(exc).__name__}: {exc}"}
+            )
+        try:
+            self.m_http.inc(code=str(status))
+            writer.write(_serialize_response(status, headers, body))
+            await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    def _route(
         self, method: str, path: str, headers: dict, body: bytes
-    ) -> "tuple[int, dict, bytes] | None":
+    ) -> tuple[int, dict, bytes]:
+        if path == "/healthz" and method == "GET":
+            return _json_response(200, self._health())
+        if path == "/metrics" and method == "GET":
+            return (
+                200,
+                {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
+                self.metrics.render().encode(),
+            )
+        if path == "/v1/jobs" and method == "POST":
+            return self._route_submit(headers, body)
+        if path.startswith("/v1/jobs/") and method == "GET":
+            return self._route_job(path[len("/v1/jobs/"):], with_result=False)
+        if path == "/v1/results" and method == "GET":
+            return self._route_results_index()
+        if path.startswith("/v1/results/") and method == "GET":
+            return self._route_job(
+                path[len("/v1/results/"):], with_result=True
+            )
         if path == "/v1/leases" and method == "POST":
             return self._route_lease_request(body)
         if path.startswith("/v1/leases/") and method == "POST":
@@ -293,7 +694,65 @@ class ClusterCoordinator(SimulationService):
             return _json_response(200, self._cluster_view())
         if path == "/v1/store" or path.startswith("/v1/store/"):
             return self._route_store(method, path, headers, body)
-        return None
+        if path.startswith(("/v1/", "/healthz", "/metrics")):
+            raise _HttpError(405, f"{method} not allowed on {path}")
+        raise _HttpError(404, f"no such endpoint: {path}")
+
+    def _route_submit(
+        self, headers: dict, body: bytes
+    ) -> tuple[int, dict, bytes]:
+        if self.draining:
+            raise _HttpError(503, "service is draining; not accepting jobs")
+        try:
+            raw = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            raise _HttpError(400, "request body is not valid JSON") from None
+        try:
+            status, view = self._submit(
+                raw, idempotency_key=headers.get("idempotency-key")
+            )
+        except SpecError as exc:
+            raise _HttpError(400, str(exc)) from None
+        except QueueFullError as exc:
+            status, headers, payload = _json_response(
+                429,
+                {
+                    "error": "admission queue is full",
+                    "retry_after": exc.retry_after,
+                },
+            )
+            headers["Retry-After"] = str(exc.retry_after)
+            return status, headers, payload
+        return _json_response(status, view)
+
+    def _route_job(
+        self, job_id: str, with_result: bool
+    ) -> tuple[int, dict, bytes]:
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise _HttpError(404, f"unknown job {job_id!r}")
+        if not with_result:
+            return _json_response(200, job.view())
+        if job.status in jobstate.TERMINAL:
+            return _json_response(200, job.view(include_result=True))
+        return _json_response(202, job.view())
+
+    def _route_results_index(self) -> tuple[int, dict, bytes]:
+        """``GET /v1/results``: list every known job (no payloads).
+
+        Submission order (the per-service sequence number), so a client
+        can page through history deterministically; results themselves
+        stay behind ``/v1/results/<id>``.
+        """
+        listing = [
+            {
+                "id": job.id,
+                "spec_digest": job.digest,
+                "status": job.status,
+            }
+            for job in sorted(self.jobs.values(), key=lambda j: j.seq)
+        ]
+        return _json_response(200, {"results": listing, "count": len(listing)})
 
     # -- leases --------------------------------------------------------------
     def _route_lease_request(self, body: bytes) -> tuple[int, dict, bytes]:
@@ -315,12 +774,8 @@ class ClusterCoordinator(SimulationService):
         job_id = self.queue.try_take(chooser=self._affinity_chooser(runner))
         if job_id is None:
             return 204, {}, b""
+        lease = self._start_lease(job_id, runner, now)
         job = self.jobs[job_id]
-        job.status = jobstate.RUNNING
-        lease = self.leases.grant(job_id, job.digest, runner, now)
-        job.attempts = lease.attempt
-        self.state.save(job)
-        self.m_jobs.inc(event="leased")
         return _json_response(200, {
             "lease_id": lease.id,
             "job_id": job.id,
@@ -344,7 +799,12 @@ class ClusterCoordinator(SimulationService):
         self, lease_id: str, body: bytes
     ) -> tuple[int, dict, bytes]:
         payload = _parse_json(body)
-        lease = self.leases.complete(lease_id)
+        lease = self._settle_lease(
+            lease_id,
+            payload.get("result"),
+            payload.get("error"),
+            float(payload.get("wall") or 0.0),
+        )
         if lease is None:
             # The lease expired and the job was redelivered: this result
             # is a late duplicate.  Determinism makes it *identical* to
@@ -357,17 +817,9 @@ class ClusterCoordinator(SimulationService):
         self._runners_seen[lease.runner] = time.monotonic()
         self._absorb_engine_report(lease.runner, payload.get("engine"))
         self._absorb_breaker_report(lease.runner, payload.get("breaker_opens"))
-        job = self.jobs[lease.job_id]
-        job.runner = lease.runner
-        wall = float(payload.get("wall") or 0.0)
-        error = payload.get("error")
-        result = payload.get("result")
-        if error is None and result is None:
-            error = "runner reported neither result nor error"
-        self._job_done(job.id, result, error, wall)
-        self.queue.observe(wall)
-        self.queue.task_done()
-        return _json_response(200, {"accepted": True, "status": job.status})
+        return _json_response(
+            200, {"accepted": True, "status": self.jobs[lease.job_id].status}
+        )
 
     def _absorb_engine_report(self, runner: str, report: object) -> None:
         if not isinstance(report, dict):
@@ -510,11 +962,20 @@ class ClusterCoordinator(SimulationService):
         }
 
     def _health(self) -> dict:
-        health = super()._health()
-        health["role"] = "coordinator"
-        health["active_leases"] = len(self.leases)
-        health["runners_live"] = len(self._live_runners())
-        return health
+        by_status: dict[str, int] = {}
+        for job in self.jobs.values():
+            by_status[job.status] = by_status.get(job.status, 0) + 1
+        return {
+            "status": "draining" if self.draining else "ok",
+            "role": "coordinator",
+            "queue_depth": self.queue.depth,
+            "inflight": len(self.leases),
+            "workers": self.config.workers,
+            "jobs": by_status,
+            "store": self.store is not None,
+            "active_leases": len(self.leases),
+            "runners_live": len(self._live_runners()),
+        }
 
 
 def _owner(
@@ -564,7 +1025,7 @@ def _parse_json(body: bytes) -> dict:
 
 
 def run_coordinator(config: CoordinatorConfig) -> int:
-    """Blocking entry point for ``stfm-sim coordinator``."""
-    service = ClusterCoordinator(config)
-    asyncio.run(service.run())
+    """Blocking entry point for ``stfm-sim serve`` and ``stfm-sim
+    coordinator``."""
+    asyncio.run(ClusterCoordinator(config).run())
     return 0

@@ -20,7 +20,7 @@ and the tables below are consumed by two independent checkers:
   ``STFM_SIM_LEASE_SANITIZE=1``, observation-only like the DRAM
   sanitizer in :mod:`repro.analysis.protocol`) shadows every
   :class:`~repro.cluster.leases.LeaseTable` transition during cluster
-  tests and raises :class:`LeaseProtocolViolation` on the first
+  and ``serve`` tests and raises :class:`LeaseProtocolViolation` on the first
   illegal one, with a window of recent events for diagnosis.
 
 Results with the sanitizer enabled are bit-identical to a run without
@@ -53,10 +53,17 @@ LEASE_TRANSITIONS = {
 
 #: Which LeaseTable transitions each coordinator entry point may
 #: perform.  SIM107 flags any transition call outside this table.
+#: Every job, whether an HTTP runner or an in-process runner executes
+#: it, starts in ``_start_lease`` and settles in ``_settle_lease``; the
+#: lease-request and completion routes reach the table only through
+#: them.
 HANDLER_OPS = {
-    "ClusterCoordinator._route_lease_request": frozenset({"grant"}),
+    "ClusterCoordinator._start_lease": frozenset({"grant"}),
+    "ClusterCoordinator._settle_lease": frozenset({"complete"}),
+    "ClusterCoordinator._route_lease_request": frozenset(),
     "ClusterCoordinator._route_heartbeat": frozenset({"heartbeat"}),
-    "ClusterCoordinator._route_complete": frozenset({"complete"}),
+    "ClusterCoordinator._route_complete": frozenset(),
+    "ClusterCoordinator._local_runner": frozenset({"heartbeat"}),
     "ClusterCoordinator._expire_due": frozenset({"expire_due"}),
     "ClusterCoordinator.start": frozenset({"recover"}),
 }

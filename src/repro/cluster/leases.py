@@ -18,12 +18,11 @@ lease files are counted and removed.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.lease_model import LeaseSanitizer, sanitize_enabled
+from repro.engine.backends.fs import atomic_write, record_files, remove_temp_files
 
 
 @dataclass
@@ -102,8 +101,9 @@ class LeaseTable:
         """
         if self.root is None:
             return 0
+        remove_temp_files(self.root)
         stale = 0
-        for path in sorted(self.root.glob("*.json")):
+        for path in sorted(record_files(self.root)):
             try:
                 raw = json.loads(path.read_text())
                 self._attempts[raw["job_id"]] = max(
@@ -206,18 +206,10 @@ class LeaseTable:
     def _persist(self, lease: Lease) -> None:
         if self.root is None:
             return
-        path = self.root / f"{lease.id}.json"
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(lease.to_dict(), handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.root / f"{lease.id}.json",
+            json.dumps(lease.to_dict()).encode(),
+        )
 
     def _unpersist(self, lease: Lease) -> None:
         if self.root is None:

@@ -1,11 +1,14 @@
-"""repro.service — an async simulation service over the experiment engine.
+"""repro.service — the parts of the simulation service over the engine.
 
 A stdlib-only (asyncio streams) HTTP JSON API that lets many clients
-submit experiment and workload specs to one shared engine:
+submit experiment and workload specs to one shared engine.  The server
+itself is :class:`~repro.cluster.coordinator.ClusterCoordinator`; this
+package holds its spec validation, admission queue, job state, metrics,
+HTTP wire layer, client, and :func:`~repro.service.workers.execute_spec`:
 
 * ``POST /v1/jobs`` admits a spec into a bounded queue (HTTP 429 plus
   ``Retry-After`` when full — backpressure, not unbounded buffering);
-* a worker pool executes jobs through :mod:`repro.engine`, so identical
+* runners execute jobs through :mod:`repro.engine`, so identical
   run-alone / run-shared sub-jobs are deduplicated across submitters by
   the content-addressed :class:`~repro.engine.ResultStore`;
 * ``GET /v1/jobs/<id>`` and ``GET /v1/results/<id>`` report state and
@@ -16,11 +19,11 @@ submit experiment and workload specs to one shared engine:
   a restarted server resumes queued/running work and re-reports
   completed work.
 
-Run it as ``stfm-sim serve``; talk to it with
+Run it as ``stfm-sim serve`` (in-process runners) or ``stfm-sim
+coordinator`` (runner processes lease jobs over HTTP, see
+:mod:`repro.cluster`); talk to it with
 :class:`~repro.service.client.ServiceClient` or the ``stfm-sim submit``
-and ``stfm-sim status`` CLI verbs.  For multi-process scale-out — a
-coordinator leasing jobs to N runner processes over HTTP — see
-:mod:`repro.cluster`.
+and ``stfm-sim status`` CLI verbs.
 """
 
 from repro.service.api import JobSpec, SpecError, parse_spec, spec_digest
@@ -31,7 +34,6 @@ from repro.service.client import (
     parse_metrics,
 )
 from repro.service.queue import AdmissionQueue
-from repro.service.server import ServiceConfig, SimulationService, serve
 from repro.service.state import Job, JobStore
 
 __all__ = [
@@ -41,12 +43,9 @@ __all__ = [
     "JobSpec",
     "JobStore",
     "ServiceClient",
-    "ServiceConfig",
     "ServiceError",
-    "SimulationService",
     "SpecError",
     "parse_metrics",
     "parse_spec",
-    "serve",
     "spec_digest",
 ]

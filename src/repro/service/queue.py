@@ -7,11 +7,12 @@ full queue rejects the submission — the HTTP layer turns that into
 observed job wall times.  Clients that honor the hint converge on the
 service's actual throughput instead of timing out deep in a queue.
 
-Two consumers drain the queue: the in-process worker pool ``await``\\ s
-:meth:`AdmissionQueue.get` (the single-process ``serve`` path), while
-the cluster coordinator grants leases synchronously on lease requests
-via :meth:`AdmissionQueue.try_take` — which may pick a *specific*
-pending job (cache-affinity routing by spec digest), not just the head.
+The coordinator leases every job it takes off the queue, through one
+of two consumers: its in-process runners (``stfm-sim serve``)
+``await``\\ s :meth:`AdmissionQueue.get` for the oldest job, while a
+lease request over HTTP takes one synchronously via
+:meth:`AdmissionQueue.try_take` — which may pick a *specific* pending
+job (cache-affinity routing by spec digest), not just the head.
 :meth:`AdmissionQueue.requeue` returns an expired lease's job to the
 front without re-counting it, so :meth:`join` still means "every
 admitted job reached a terminal state exactly once".

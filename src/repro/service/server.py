@@ -1,42 +1,17 @@
-"""The asyncio-streams HTTP server: routing, admission, drain.
+"""The HTTP/1.1 wire layer the coordinator serves its API on.
 
 A deliberately small HTTP/1.1 implementation (request line + headers +
 ``Content-Length`` body, one request per connection) on
 ``asyncio.start_server`` — no ``http.server``, no threads in the
-serving path.  Endpoints::
-
-    POST /v1/jobs          submit a spec        202 | 200 (coalesced) |
-                                                400 | 429 (+Retry-After) | 503
-    GET  /v1/jobs/<id>     job status           200 | 404
-    GET  /v1/results/<id>  result payload       200 (terminal) | 202 | 404
-    GET  /healthz          liveness + drain state
-    GET  /metrics          Prometheus text (version 0.0.4)
-
-Identical specs submitted while one is queued or running coalesce onto
-the same job id (cross-client dedup *above* the engine); identical
-simulation sub-jobs of *different* specs dedup below, in the shared
-content-addressed result store.  On SIGTERM the service stops admitting
-(503), finishes every admitted job, persists state, and exits 0.
+serving path.  The routes themselves live in
+:class:`~repro.cluster.coordinator.ClusterCoordinator`, which is both
+``stfm-sim serve`` and ``stfm-sim coordinator``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import signal
-from dataclasses import dataclass, field
-from functools import partial
-from pathlib import Path
-
-from repro import faults
-from repro.engine import session_report
-from repro.engine.store import ResultStore
-from repro.service import state as jobstate
-from repro.service.api import SpecError, parse_spec, spec_digest
-from repro.service.metrics import MetricsRegistry
-from repro.service.queue import AdmissionQueue, QueueFullError
-from repro.service.state import Job, JobStore
-from repro.service.workers import WorkerPool, execute_spec
 
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADERS = 100
@@ -49,415 +24,6 @@ _STATUS_TEXT = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Everything ``stfm-sim serve`` needs to stand up a service."""
-
-    host: str = "127.0.0.1"
-    port: int = 8765  # 0 = pick a free port (tests)
-    workers: int = 2
-    queue_limit: int = 32
-    engine_jobs: int = 1  # simulation processes per running job
-    cache_dir: "str | None" = None  # None disables the shared store
-    state_dir: str = "stfm-service-state"
-    job_timeout: "float | None" = None  # watchdog deadline per job, seconds
-
-
-class SimulationService:
-    """One service instance: queue, workers, state, metrics, HTTP."""
-
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.store = (
-            ResultStore(config.cache_dir) if config.cache_dir else None
-        )
-        self.state = JobStore(config.state_dir)
-        self.jobs: dict[str, Job] = {}
-        self._active_by_digest: dict[str, str] = {}
-        self._by_idempotency: dict[str, str] = {}
-        self._seq = 0
-        self.queue = AdmissionQueue(config.queue_limit)
-        self.pool = WorkerPool(
-            self.queue,
-            run_job=self._work_for,
-            on_done=self._job_done,
-            count=config.workers,
-            job_timeout=config.job_timeout,
-        )
-        self.draining = False
-        self.resumed_jobs = 0  # non-terminal jobs requeued at startup
-        self._stop_requested = asyncio.Event()
-        self._server: "asyncio.base_events.Server | None" = None
-        self.port = config.port
-        self._build_metrics()
-
-    # -- metrics ------------------------------------------------------------
-    def _build_metrics(self) -> None:
-        m = MetricsRegistry()
-        self.metrics = m
-        m.gauge(
-            "stfm_service_queue_depth",
-            "Jobs admitted but not yet picked up by a worker.",
-            read=lambda: self.queue.depth,
-        )
-        m.gauge(
-            "stfm_service_inflight_jobs",
-            "Jobs currently executing on the worker pool.",
-            read=lambda: len(self.pool.inflight),
-        )
-        m.gauge(
-            "stfm_service_draining",
-            "1 while the service is draining after SIGTERM.",
-            read=lambda: int(self.draining),
-        )
-        self.m_http = m.counter(
-            "stfm_service_http_requests_total",
-            "HTTP responses served, by status code.",
-        )
-        self.m_jobs = m.counter(
-            "stfm_service_jobs_total",
-            "Job admissions and outcomes, by event.",
-        )
-        self.m_wall = m.summary(
-            "stfm_service_job_wall_seconds",
-            "Wall-clock seconds per executed job.",
-        )
-        m.gauge(
-            "stfm_store_hits_total",
-            "Result-store lookups answered from disk (cross-client dedup).",
-            read=lambda: self.store.hits if self.store else 0,
-        )
-        m.gauge(
-            "stfm_store_misses_total",
-            "Result-store lookups that required simulation.",
-            read=lambda: self.store.misses if self.store else 0,
-        )
-        m.gauge(
-            "stfm_store_entries",
-            "Entries currently in the shared result store.",
-            read=lambda: self.store.stats().entries if self.store else 0,
-        )
-        m.gauge(
-            "stfm_engine_jobs_simulated_total",
-            "Simulation jobs actually executed by this process's engine.",
-            read=lambda: session_report().jobs_run,
-        )
-        m.gauge(
-            "stfm_engine_cache_hits_total",
-            "Engine cache hits (memory + disk) in this process.",
-            read=lambda: session_report().hits,
-        )
-        m.gauge(
-            "stfm_engine_retries_total",
-            "Worker crash/timeout retries by this process's engine.",
-            read=lambda: session_report().retries,
-        )
-        m.gauge(
-            "stfm_engine_fallbacks_total",
-            "Clean-room fallback attempts after fault-exhausted retries.",
-            read=lambda: session_report().fallbacks,
-        )
-        m.gauge(
-            "stfm_store_quarantined_total",
-            "Corrupt result-store entries quarantined on read.",
-            read=lambda: self.store.quarantined if self.store else 0,
-        )
-        m.gauge(
-            "stfm_store_put_errors_total",
-            "Best-effort result-store writes that failed (disk full, EIO).",
-            read=lambda: self.store.put_errors if self.store else 0,
-        )
-        m.gauge(
-            "stfm_service_watchdog_timeouts_total",
-            "Jobs failed by the per-job deadline watchdog.",
-            read=lambda: self.pool.watchdog_timeouts,
-        )
-        m.gauge(
-            "stfm_faults_injected_total",
-            "Faults fired by the STFM_SIM_FAULTS injection layer.",
-            read=faults.injected_total,
-        )
-        self._register_extra_metrics(m)
-
-    def _register_extra_metrics(self, m: MetricsRegistry) -> None:
-        """Subclass hook: add metrics (the cluster coordinator does)."""
-
-    # -- lifecycle ----------------------------------------------------------
-    async def start(self) -> None:
-        """Recover persisted state, start workers, open the listener."""
-        jobs, requeue = self.state.recover()
-        for job in jobs:
-            self.jobs[job.id] = job
-            self._seq = max(self._seq, job.seq)
-            if job.idempotency_key:
-                self._by_idempotency[job.idempotency_key] = job.id
-        self.pool.start()
-        self.resumed_jobs = len(requeue)
-        for job in requeue:
-            self._active_by_digest[job.digest] = job.id
-            self.queue.submit(job.id, inflight=len(self.pool.inflight))
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def request_drain(self) -> None:
-        """Signal-safe: stop admitting and let :meth:`run` finish up."""
-        self.draining = True
-        self._stop_requested.set()
-
-    async def drain_and_stop(self) -> None:
-        """Finish every admitted job, then shut everything down."""
-        self.draining = True
-        if self.pool.count > 0:
-            await self.queue.join()
-        await self.pool.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def run(self) -> None:
-        """Serve until SIGTERM/SIGINT, then drain gracefully."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, self.request_drain)
-        print(
-            f"stfm-sim service listening on "
-            f"http://{self.config.host}:{self.port}",
-            flush=True,
-        )
-        await self._stop_requested.wait()
-        print("draining: finishing admitted jobs ...", flush=True)
-        await self.drain_and_stop()
-        print("drained; bye", flush=True)
-
-    # -- job plumbing --------------------------------------------------------
-    def _work_for(self, job_id: str):
-        """Event-loop hook: mark RUNNING and build the blocking closure."""
-        job = self.jobs[job_id]
-        job.status = jobstate.RUNNING
-        self.state.save(job)
-        return partial(
-            execute_spec,
-            job.spec,
-            store=self.store,
-            engine_jobs=self.config.engine_jobs,
-        )
-
-    def _job_done(
-        self, job_id: str, result: "dict | None", error: "str | None",
-        wall: float,
-    ) -> None:
-        job = self.jobs[job_id]
-        job.wall_time = wall
-        if error is None:
-            job.status = jobstate.DONE
-            job.result = result
-            self.m_jobs.inc(event="done")
-        else:
-            job.status = jobstate.FAILED
-            job.error = error
-            self.m_jobs.inc(event="failed")
-        self.m_wall.observe(wall)
-        if self._active_by_digest.get(job.digest) == job_id:
-            del self._active_by_digest[job.digest]
-        self.state.save(job)
-
-    def _submit(
-        self, raw_spec: object, idempotency_key: "str | None" = None
-    ) -> tuple[int, dict]:
-        spec = parse_spec(raw_spec)  # SpecError → 400 (handled by caller)
-        normalized = spec.normalized()
-        digest = spec_digest(normalized)
-        if idempotency_key is not None:
-            # A retried POST (response lost, connection dropped) carries
-            # the same key as the original attempt and must land on the
-            # job that attempt created — even if it finished meanwhile.
-            known = self._by_idempotency.get(idempotency_key)
-            if known is not None and known in self.jobs:
-                self.m_jobs.inc(event="idempotent_replay")
-                view = self.jobs[known].view()
-                view["deduplicated"] = True
-                return 200, view
-        active = self._active_by_digest.get(digest)
-        if active is not None:
-            self.m_jobs.inc(event="coalesced")
-            job = self.jobs[active]
-            if idempotency_key is not None:
-                self._by_idempotency[idempotency_key] = job.id
-            view = job.view()
-            view["deduplicated"] = True
-            return 200, view
-        self._seq += 1
-        job = Job(
-            id=f"{digest[:12]}-{self._seq:04d}",
-            spec=normalized,
-            digest=digest,
-            seq=self._seq,
-            idempotency_key=idempotency_key,
-        )
-        try:
-            self.queue.submit(job.id, inflight=len(self.pool.inflight))
-        except QueueFullError:
-            self._seq -= 1
-            self.m_jobs.inc(event="rejected")
-            raise
-        self.jobs[job.id] = job
-        self._active_by_digest[digest] = job.id
-        if idempotency_key is not None:
-            self._by_idempotency[idempotency_key] = job.id
-        self.state.save(job)
-        self.m_jobs.inc(event="submitted")
-        view = job.view()
-        view["deduplicated"] = False
-        view["location"] = f"/v1/jobs/{job.id}"
-        return 202, view
-
-    # -- HTTP ---------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, headers, body = 500, {}, b""
-        try:
-            request = await _read_request(reader)
-            if request is None:
-                writer.close()
-                return
-            method, path, req_headers, req_body = request
-            status, headers, body = self._route(
-                method, path, req_headers, req_body
-            )
-        except _HttpError as exc:
-            status, headers, body = _json_response(
-                exc.status, {"error": exc.message}
-            )
-        except Exception as exc:  # never kill the server on one request
-            status, headers, body = _json_response(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-        try:
-            self.m_http.inc(code=str(status))
-            writer.write(_serialize_response(status, headers, body))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    def _route(
-        self, method: str, path: str, headers: dict, body: bytes
-    ) -> tuple[int, dict, bytes]:
-        if path == "/healthz" and method == "GET":
-            return _json_response(200, self._health())
-        if path == "/metrics" and method == "GET":
-            return (
-                200,
-                {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-                self.metrics.render().encode(),
-            )
-        if path == "/v1/jobs" and method == "POST":
-            return self._route_submit(headers, body)
-        if path.startswith("/v1/jobs/") and method == "GET":
-            return self._route_job(path[len("/v1/jobs/"):], with_result=False)
-        if path == "/v1/results" and method == "GET":
-            return self._route_results_index()
-        if path.startswith("/v1/results/") and method == "GET":
-            return self._route_job(
-                path[len("/v1/results/"):], with_result=True
-            )
-        extra = self._route_extra(method, path, headers, body)
-        if extra is not None:
-            return extra
-        if path in ("/v1/jobs",) or path.startswith(("/v1/", "/healthz", "/metrics")):
-            raise _HttpError(405, f"{method} not allowed on {path}")
-        raise _HttpError(404, f"no such endpoint: {path}")
-
-    def _route_extra(
-        self, method: str, path: str, headers: dict, body: bytes
-    ) -> "tuple[int, dict, bytes] | None":
-        """Subclass hook: extra endpoints (the coordinator's lease and
-        store-proxy routes).  None means 'not mine'."""
-        return None
-
-    def _route_submit(
-        self, headers: dict, body: bytes
-    ) -> tuple[int, dict, bytes]:
-        if self.draining:
-            raise _HttpError(503, "service is draining; not accepting jobs")
-        try:
-            raw = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise _HttpError(400, "request body is not valid JSON") from None
-        try:
-            status, view = self._submit(
-                raw, idempotency_key=headers.get("idempotency-key")
-            )
-        except SpecError as exc:
-            raise _HttpError(400, str(exc)) from None
-        except QueueFullError as exc:
-            status, headers, payload = _json_response(
-                429,
-                {
-                    "error": "admission queue is full",
-                    "retry_after": exc.retry_after,
-                },
-            )
-            headers["Retry-After"] = str(exc.retry_after)
-            return status, headers, payload
-        return _json_response(status, view)
-
-    def _route_job(
-        self, job_id: str, with_result: bool
-    ) -> tuple[int, dict, bytes]:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise _HttpError(404, f"unknown job {job_id!r}")
-        if not with_result:
-            return _json_response(200, job.view())
-        if job.status in jobstate.TERMINAL:
-            return _json_response(200, job.view(include_result=True))
-        return _json_response(202, job.view())
-
-    def _route_results_index(self) -> tuple[int, dict, bytes]:
-        """``GET /v1/results``: list every known job (no payloads).
-
-        Submission order (the per-service sequence number), so a client
-        can page through history deterministically; results themselves
-        stay behind ``/v1/results/<id>``.
-        """
-        listing = [
-            {
-                "id": job.id,
-                "spec_digest": job.digest,
-                "status": job.status,
-            }
-            for job in sorted(self.jobs.values(), key=lambda j: j.seq)
-        ]
-        return _json_response(200, {"results": listing, "count": len(listing)})
-
-    def _health(self) -> dict:
-        by_status: dict[str, int] = {}
-        for job in self.jobs.values():
-            by_status[job.status] = by_status.get(job.status, 0) + 1
-        return {
-            "status": "draining" if self.draining else "ok",
-            "queue_depth": self.queue.depth,
-            "inflight": len(self.pool.inflight),
-            "workers": self.pool.count,
-            "jobs": by_status,
-            "store": self.store is not None,
-        }
-
-
-# -- HTTP wire helpers -------------------------------------------------------
 
 
 class _HttpError(Exception):
@@ -523,10 +89,3 @@ def _serialize_response(status: int, headers: dict, body: bytes) -> bytes:
     headers = {"Connection": "close", "Content-Length": str(len(body)), **headers}
     lines.extend(f"{name}: {value}" for name, value in headers.items())
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def serve(config: ServiceConfig) -> int:
-    """Blocking entry point for ``stfm-sim serve``."""
-    service = SimulationService(config)
-    asyncio.run(service.run())
-    return 0

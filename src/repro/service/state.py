@@ -13,10 +13,10 @@ finished its sub-simulations resumes from cache hits.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.engine.backends.fs import atomic_write, record_files, remove_temp_files
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -110,25 +110,14 @@ class JobStore:
 
     def save(self, job: Job) -> None:
         """Persist one job atomically (tmp + rename)."""
-        path = self.root / f"{job.id}.json"
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
+        atomic_write(
+            self.root / f"{job.id}.json", json.dumps(job.to_dict()).encode()
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(job.to_dict(), handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load_all(self) -> list[Job]:
         """Read every job file; corrupt entries are skipped."""
         jobs = []
-        for path in sorted(self.root.glob("*.json")):
+        for path in sorted(record_files(self.root)):
             try:
                 jobs.append(Job.from_dict(json.loads(path.read_text())))
             except (OSError, ValueError, KeyError, TypeError):
@@ -143,7 +132,9 @@ class JobStore:
         QUEUED with ``resumed=True`` and are persisted in that state.
         The requeue list is ordered by admission sequence, not file
         name, so a restarted sweep re-dispatches in submission order.
+        Temporary files of writes a crash interrupted are deleted.
         """
+        remove_temp_files(self.root)
         jobs = self.load_all()
         requeue = []
         for job in jobs:

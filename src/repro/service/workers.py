@@ -1,34 +1,18 @@
-"""Job execution: the worker pool and the spec → engine bridge.
+"""The spec → engine bridge every job runs through.
 
-Workers are asyncio tasks; the simulation itself is synchronous Python,
-so each job runs on a thread-pool executor sized to the worker count —
-the event loop stays responsive for status queries and metric scrapes
-while simulations run.  Every execution builds its own
-:class:`~repro.engine.ExperimentRunner` but hands it the service's
-*shared* :class:`~repro.engine.ResultStore` instance, which is what
-deduplicates identical run-alone / run-shared sub-jobs across
-submitters — and whose hit/miss counters make that dedup visible in
-``/metrics``.
-
-Worker crashes are contained per job: any exception out of the engine
-(including :class:`~repro.engine.JobFailedError` from a crashed or
-timed-out simulation process) marks the job FAILED with the error
-message — it never takes the worker down or leaves the job hung.  A
-per-job deadline watchdog (``job_timeout``) closes the remaining gap: a
-job whose thread stops making progress transitions to FAILED with a
-``watchdog:`` reason instead of sitting RUNNING forever, and the worker
-moves on to the next job.
+:func:`execute_spec` is what the coordinator's in-process runners
+(``stfm-sim serve``) and the cluster's runner processes both call.
+Each execution builds its own :class:`~repro.engine.ExperimentRunner`
+but hands it the caller's *shared* :class:`~repro.engine.ResultStore`
+instance, which is what deduplicates identical run-alone / run-shared
+sub-jobs across submitters — and whose hit/miss counters make that
+dedup visible in ``/metrics``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import time
 from dataclasses import replace
-from typing import Callable
 
-from repro import faults
 from repro.engine import EngineOptions, engine_options
 from repro.engine.store import ResultStore
 from repro.experiments import run_experiment
@@ -46,7 +30,7 @@ def execute_spec(
 ) -> dict:
     """Run one validated spec to its JSON result payload (blocking).
 
-    This is the single entry point the service's workers call — and the
+    This is the single entry point every runner calls — and the
     function the end-to-end tests call directly to establish the
     bit-identical baseline.
     """
@@ -72,124 +56,3 @@ def execute_spec(
         list(spec.benchmarks), spec.policy, spec.policy_kwargs or None
     )
     return {"kind": "workload", **workload_result_to_dict(result)}
-
-
-class WorkerPool:
-    """N asyncio workers draining the admission queue through a thread pool.
-
-    Args:
-        queue: The :class:`~repro.service.queue.AdmissionQueue` to drain.
-        run_job: Called (on the event loop) with a job id when a worker
-            picks it up; must return the blocking callable to execute.
-        on_done: Called (on the event loop) with
-            ``(job_id, result | None, error | None, wall_seconds)``.
-        count: Worker tasks (and thread-pool width).  0 is allowed —
-            nothing executes, which the backpressure tests rely on.
-        job_timeout: Per-job wall-clock deadline in seconds; None (the
-            default) disables the watchdog.  A job past its deadline is
-            marked FAILED (``watchdog: ...``) and abandoned — threads
-            cannot be killed, so its thread keeps running until the
-            engine's own per-process timeouts fire, but the worker slot
-            is freed and any late result is discarded.
-    """
-
-    def __init__(
-        self,
-        queue,
-        run_job: "Callable[[str], Callable[[], dict]]",
-        on_done: "Callable[[str, dict | None, str | None, float], None]",
-        count: int = 2,
-        job_timeout: "float | None" = None,
-    ) -> None:
-        if count < 0:
-            raise ValueError("worker count cannot be negative")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be positive")
-        self.queue = queue
-        self.run_job = run_job
-        self.on_done = on_done
-        self.count = count
-        self.job_timeout = job_timeout
-        self.watchdog_timeouts = 0
-        self.inflight: set[str] = set()
-        self._tasks: list[asyncio.Task] = []
-        self._executor: "concurrent.futures.ThreadPoolExecutor | None" = None
-
-    def start(self) -> None:
-        if self.count == 0:
-            return
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.count, thread_name_prefix="stfm-sim-worker"
-        )
-        self._tasks = [
-            asyncio.get_running_loop().create_task(
-                self._worker(), name=f"stfm-service-worker-{i}"
-            )
-            for i in range(self.count)
-        ]
-
-    async def _worker(self) -> None:
-        while True:
-            job_id = await self.queue.get()
-            try:
-                await self._run_one(job_id)
-            finally:
-                self.queue.task_done()
-
-    async def _run_one(self, job_id: str) -> None:
-        self.inflight.add(job_id)
-        started = time.perf_counter()
-        result = None
-        error = None
-        try:
-            work = self.run_job(job_id)
-            if faults.fires("service", job_id):
-                raise RuntimeError("injected service worker fault")
-            future = asyncio.get_running_loop().run_in_executor(
-                self._executor, work
-            )
-            if self.job_timeout is not None:
-                try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), self.job_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self.watchdog_timeouts += 1
-                    error = (
-                        f"watchdog: job exceeded {self.job_timeout:g}s "
-                        "deadline"
-                    )
-                    # The thread cannot be killed; discard whatever it
-                    # eventually produces (result or exception) so the
-                    # orphan never logs "exception was never retrieved".
-                    future.add_done_callback(
-                        lambda f: f.cancelled() or f.exception()
-                    )
-            else:
-                result = await future
-        except asyncio.CancelledError:
-            self.inflight.discard(job_id)
-            raise
-        except BaseException as exc:  # a crash marks the job failed
-            error = f"{type(exc).__name__}: {exc}"
-        wall = time.perf_counter() - started
-        self.inflight.discard(job_id)
-        self.queue.observe(wall)
-        self.on_done(job_id, result, error, wall)
-
-    async def stop(self) -> None:
-        """Cancel idle workers and release the thread pool."""
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks = []
-        if self._executor is not None:
-            # wait=False: the workers were awaited above, so any thread
-            # still running belongs to a watchdog-abandoned hung job —
-            # waiting for it would stall the event loop indefinitely.
-            self._executor.shutdown(wait=False)
-            self._executor = None

@@ -101,6 +101,18 @@ class TestLeaseTable:
         lease = second.grant("job-1", "d" * 64, "runner-c", now=0.0)
         assert lease.attempt == 2
 
+    def test_recovery_ignores_interrupted_temp_files(self, tmp_path):
+        first = LeaseTable(tmp_path / "leases", ttl=5.0)
+        lease = first.grant("job-1", "d" * 64, "runner-a", now=0.0)
+        # A writer killed between close and rename leaves a complete
+        # dot-prefixed copy; it is no second stale lease.
+        (tmp_path / "leases" / ".tmp-k9xyz.json").write_text(
+            json.dumps(lease.to_dict())
+        )
+        second = LeaseTable(tmp_path / "leases", ttl=5.0)
+        assert second.recover() == 1
+        assert not list((tmp_path / "leases").iterdir())
+
 
 class TestAffinity:
     def test_rendezvous_owner_is_stable_under_churn(self):

@@ -333,7 +333,7 @@ class TestServiceUnderInjection:
             hung = client.wait(client.submit(LONG_WORKLOAD)["id"], timeout=60)
             assert hung["status"] == "failed"
             assert "watchdog" in hung["error"]
-            assert service.pool.watchdog_timeouts == 1
+            assert service.watchdog_timeouts == 1
             # The worker slot is free again: a fast job still completes.
             ok = client.wait(client.submit(FAST_WORKLOAD)["id"], timeout=60)
             assert ok["status"] == "done"

@@ -6,6 +6,9 @@ HTTP layers run against a real server on a loopback socket, driven by
 the blocking :class:`ServiceClient` from the test thread while the
 asyncio loop runs in a background thread.
 
+The service is the coordinator with in-process runners
+(``workers > 0``), so every job here runs under a lease.
+
 The acceptance criteria live here too: submitting ``fig3`` through the
 HTTP API is bit-identical to a direct engine run, and resubmitting the
 same spec performs zero new simulations (visible in ``/metrics``).
@@ -17,9 +20,11 @@ import asyncio
 import contextlib
 import json
 import threading
+import time
 
 import pytest
 
+from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.experiments import run_experiment
 from repro.experiments.io import result_to_dict
 from repro.service.api import SpecError, parse_spec, spec_digest
@@ -31,7 +36,6 @@ from repro.service.client import (
 )
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import AdmissionQueue, QueueFullError
-from repro.service.server import ServiceConfig, SimulationService
 from repro.service.state import DONE, QUEUED, RUNNING, Job, JobStore
 
 
@@ -237,6 +241,17 @@ class TestJobStore:
         statuses = {j.id: j.status for j in JobStore(tmp_path).load_all()}
         assert statuses == {"a-1": QUEUED, "b-2": DONE, "c-3": QUEUED}
 
+    def test_recover_skips_and_removes_interrupted_temp_files(self, tmp_path):
+        # A writer killed between close and rename leaves a complete
+        # dot-prefixed copy behind; it must not requeue the job twice.
+        store = JobStore(tmp_path)
+        job = Job(id="abc-0001", spec={}, digest="abc", status=QUEUED, seq=1)
+        store.save(job)
+        (tmp_path / ".tmp-k9xyz.json").write_text(json.dumps(job.to_dict()))
+        _jobs, requeue = JobStore(tmp_path).recover()
+        assert [j.id for j in requeue] == ["abc-0001"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abc-0001.json"]
+
     def test_corrupt_entries_skipped(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(Job(id="ok-1", spec={}, digest="ok", seq=1))
@@ -292,7 +307,7 @@ def running_service(tmp_path, **overrides):
         state_dir=str(tmp_path / "state"),
     )
     settings.update(overrides)
-    service = SimulationService(ServiceConfig(**settings))
+    service = ClusterCoordinator(CoordinatorConfig(**settings))
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -452,15 +467,17 @@ class TestServiceHttp:
     def test_worker_crash_marks_job_failed_not_hung(self, tmp_path, monkeypatch):
         # Admission rejects bad policy options up front, so the crash is
         # injected into the job itself: the job must turn FAILED.
-        from repro.service import server as server_module
+        from repro.cluster import coordinator as coordinator_module
 
         def execute_or_crash(spec, **kwargs):
             if spec["seed"] == 13:  # the job's persisted normalized spec
                 raise RuntimeError("simulated worker crash")
             return real_execute(spec, **kwargs)
 
-        real_execute = server_module.execute_spec
-        monkeypatch.setattr(server_module, "execute_spec", execute_or_crash)
+        real_execute = coordinator_module.execute_spec
+        monkeypatch.setattr(
+            coordinator_module, "execute_spec", execute_or_crash
+        )
         crash = dict(FAST_WORKLOAD, seed=13)
         with running_service(tmp_path) as (service, client):
             view = client.submit(crash)
@@ -470,6 +487,48 @@ class TestServiceHttp:
             # ... and the worker survived to run the next job.
             ok = client.wait(client.submit(FAST_WORKLOAD)["id"], timeout=60)
             assert ok["status"] == "done"
+
+    def test_each_job_runs_under_exactly_one_lease(self, tmp_path):
+        with running_service(tmp_path) as (service, client):
+            view = client.wait(client.submit(FAST_WORKLOAD)["id"], timeout=60)
+            assert view["status"] == "done"
+            assert view["attempts"] == 1
+        assert len(service.leases) == 0
+        assert service.leases.granted == {"local-0": 1}
+        assert service.leases.completed == {"local-0": 1}
+
+    def test_watchdog_settles_the_lease_and_drops_the_late_result(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cluster import coordinator as coordinator_module
+
+        release = threading.Event()
+        returned = threading.Event()
+
+        def blocking_execute(spec, **kwargs):
+            release.wait(30)
+            returned.set()
+            return {"kind": "workload", "late": True}
+
+        monkeypatch.setattr(
+            coordinator_module, "execute_spec", blocking_execute
+        )
+        with running_service(tmp_path, job_timeout=0.3) as (service, client):
+            job_id = client.submit(FAST_WORKLOAD)["id"]
+            failed = client.wait(job_id, timeout=60)
+            assert failed["status"] == "failed"
+            assert failed["error"].startswith("watchdog:")
+            assert len(service.leases) == 0
+            assert service.leases.completed == {"local-0": 1}
+            release.set()
+            assert returned.wait(30)
+            time.sleep(0.2)  # let a stray late settlement land, if any
+            late = client.result(job_id)
+            assert late["status"] == "failed"
+            assert "result" not in late
+        persisted = {j.id: j for j in JobStore(tmp_path / "state").load_all()}
+        assert persisted[job_id].status == "failed"
+        assert persisted[job_id].result is None
 
     def test_bad_policy_kwargs_rejected_at_admission(self, tmp_path):
         bad = dict(FAST_WORKLOAD, policy="stfm", policy_kwargs={"alpha": 0.5})
@@ -560,7 +619,7 @@ class TestServiceHttp:
             cache_dir=str(tmp_path / "store"),
             state_dir=str(tmp_path / "state"),
         )
-        service = SimulationService(ServiceConfig(**settings))
+        service = ClusterCoordinator(CoordinatorConfig(**settings))
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()

@@ -99,6 +99,18 @@ class TestCreateBackend:
         assert store.backend is backend
 
 
+class TestFsBackend:
+    def test_interrupted_write_leftover_is_not_an_entry(self, tmp_path):
+        # A writer killed between close and rename leaves a complete
+        # dot-prefixed temporary file next to the entries.
+        backend = FsBackend(tmp_path / "store")
+        key = "ab" + "c" * 62
+        backend.write(key, b"{}")
+        (backend.path(key).parent / ".tmp-k9xyz.json").write_bytes(b"{}")
+        assert backend.count() == 1
+        assert backend.stats().entries == 1
+
+
 class TestConformance:
     def test_round_trip_and_counters(self, location):
         store = CacheStore(location)
