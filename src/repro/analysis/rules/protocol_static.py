@@ -7,7 +7,7 @@ so the static and dynamic checkers cannot drift apart.
 
 SIM107 walks every indexed call of the form ``self.leases.<op>`` and
 demands that protocol *transitions* (grant/heartbeat/complete/
-expire_due/recover) only happen in the coordinator entry point that
+expire_due) only happen in the coordinator entry point that
 declares them in ``HANDLER_OPS``.  SIM108 has two halves: each
 coordinator handler may only emit status codes its route declares in
 ``API_CONTRACT`` (including codes raised by same-module helpers it

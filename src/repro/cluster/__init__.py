@@ -3,7 +3,7 @@
 Two roles:
 
 * a **coordinator** (:class:`~repro.cluster.coordinator.ClusterCoordinator`)
-  that owns admission, job state, the durable lease table, and —
+  that owns admission, job state, the lease table, and —
   optionally — the shared result store, served over HTTP.  With
   ``workers > 0`` it is single-process ``stfm-sim serve``: in-process
   runners lease its jobs by direct call; and

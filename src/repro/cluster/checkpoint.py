@@ -1,9 +1,10 @@
 """Durable coordinator checkpoint: survive ``kill -9`` mid-sweep.
 
-The coordinator's hard state is already durable piecemeal — the job
-store persists every job atomically and the lease table persists one
-file per active lease.  What those files *cannot* carry across a crash
-is incarnation-scoped bookkeeping:
+The coordinator's hard state is already durable: the job store
+persists every job atomically, and a job record carries its lease state
+(RUNNING while leased, ``attempts`` saved with every grant).  What job
+records *cannot* carry across a crash is incarnation-scoped
+bookkeeping:
 
 * **incarnation** — how many times this state directory has been
   started.  Lease ids embed it (``lease-i3-000001``), so a lease

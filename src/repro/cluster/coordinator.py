@@ -3,8 +3,8 @@
 One :class:`ClusterCoordinator` is both ``stfm-sim serve`` and
 ``stfm-sim coordinator``.  It owns the bounded admission queue, the
 crash-safe job state, idempotent and digest-coalesced submission,
-``/metrics``, and the durable lease table.  Every job, wherever it
-runs, is started by a lease grant and settled by a lease completion:
+``/metrics``, and the lease table.  Every job, wherever it runs, is
+started by a lease grant and settled by a lease completion:
 
 * ``workers=0`` (the cluster): runner processes lease jobs over HTTP
   and post results back;
@@ -71,7 +71,6 @@ import signal
 import time
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 from repro import faults
 from repro.engine import session_report
@@ -154,9 +153,7 @@ class ClusterCoordinator:
         self.incarnation = prior.incarnation + 1
         self.resume_recoveries = prior.resume_recoveries
         self.leases = LeaseTable(
-            Path(config.state_dir) / "leases",
-            ttl=config.lease_ttl,
-            id_prefix=f"i{self.incarnation}-",
+            ttl=config.lease_ttl, id_prefix=f"i{self.incarnation}-"
         )
         self.leases.expirations = prior.expirations
         self.leases.redeliveries = prior.redeliveries
@@ -350,14 +347,16 @@ class ClusterCoordinator:
     async def start(self) -> None:
         """Recover persisted state, open the listener, start the lease
         sweep and the in-process runners."""
-        stale = self.leases.recover()
+        jobs, requeue, stale = self.state.recover()
         if stale:
+            # Each job RUNNING at the crash held a lease that died with
+            # the previous incarnation: count it as expired.
+            self.leases.expirations += stale
             print(
                 f"recovered: discarded {stale} stale lease(s) from a "
                 f"previous incarnation",
                 flush=True,
             )
-        jobs, requeue = self.state.recover()
         for job in jobs:
             self.jobs[job.id] = job
             self._seq = max(self._seq, job.seq)
@@ -365,7 +364,7 @@ class ClusterCoordinator:
                 self._by_idempotency[job.idempotency_key] = job.id
         for job in requeue:
             self._active_by_digest[job.digest] = job.id
-            self.queue.submit(job.id, inflight=len(self.leases))
+            self.queue.admit(job.id)
         self._server = await asyncio.start_server(
             self._handle, host=self.config.host, port=self.config.port
         )
@@ -475,10 +474,14 @@ class ClusterCoordinator:
 
     # -- the job lifecycle --------------------------------------------------
     def _start_lease(self, job_id: str, runner: str, now: float) -> Lease:
-        """Lease a job just taken off the queue to ``runner``."""
+        """Lease a job just taken off the queue to ``runner``.  The job
+        record numbers the attempt and is saved before any runner can
+        see the lease, so no crash reuses an attempt number."""
         job = self.jobs[job_id]
+        lease = self.leases.grant(
+            job_id, runner, now, attempt=job.attempts + 1
+        )
         job.status = jobstate.RUNNING
-        lease = self.leases.grant(job_id, job.digest, runner, now)
         job.attempts = lease.attempt
         self.state.save(job)
         self.m_jobs.inc(event="leased")

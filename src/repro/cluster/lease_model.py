@@ -36,9 +36,7 @@ from repro.faults import env_flag
 
 #: Lease-table operations that are protocol *transitions* (read-only
 #: accessors like ``active_by_runner`` are not).
-TRANSITION_OPS = frozenset(
-    {"grant", "heartbeat", "complete", "expire_due", "recover"}
-)
+TRANSITION_OPS = frozenset({"grant", "heartbeat", "complete", "expire_due"})
 
 #: Shadow state machine: (state, op) -> next state.  ``idle`` means no
 #: live lease for the job (including after expiry — the next grant
@@ -48,7 +46,6 @@ LEASE_TRANSITIONS = {
     ("granted", "heartbeat"): "granted",
     ("granted", "complete"): "settled",
     ("granted", "expire_due"): "idle",
-    ("granted", "recover"): "idle",
 }
 
 #: Which LeaseTable transitions each coordinator entry point may
@@ -65,7 +62,6 @@ HANDLER_OPS = {
     "ClusterCoordinator._route_complete": frozenset(),
     "ClusterCoordinator._local_runner": frozenset({"heartbeat"}),
     "ClusterCoordinator._expire_due": frozenset({"expire_due"}),
-    "ClusterCoordinator.start": frozenset({"recover"}),
 }
 
 #: Route handled by each HTTP-facing handler (SIM108 joins this with
@@ -257,12 +253,3 @@ class LeaseSanitizer:
                 "expiry reported for a lease that is not active", event
             )
         self._drop(lease_id)
-
-    def observe_recover(self, lease_id: str) -> None:
-        """Startup recovery discards persisted leases as expired."""
-        event = LeaseEvent("recover", lease_id, "?", "?", 0)
-        self._record(event)
-        # Recovery starts from a fresh table in a fresh process; the
-        # shadow state is empty by construction, so any lease the
-        # table *kept* across recover would show up on the next grant.
-        self.active.pop(lease_id, None)

@@ -1,4 +1,4 @@
-"""The coordinator's durable lease table.
+"""The coordinator's lease table.
 
 A lease is the unit of work ownership in the cluster: one job granted
 to one runner for a bounded time.  Heartbeats extend the deadline;
@@ -7,22 +7,20 @@ for another runner (at-least-once delivery).  A completion arriving
 after the lease expired is *discarded* — the redelivered attempt is
 authoritative — which keeps late duplicates out of the job state.
 
-Leases persist one-file-per-lease under the coordinator state
-directory.  A restarted coordinator cannot trust wall-clock deadlines
-written by a previous incarnation (deadlines are monotonic-clock
-values), so recovery treats every persisted lease as already expired:
-the job store independently requeues non-terminal jobs, and the stale
-lease files are counted and removed.
+The table is in-memory bookkeeping only.  The job record is the one
+durable copy of lease state: a job is RUNNING exactly while it holds a
+lease, and its ``attempts`` is saved with every grant.  Deadlines are
+monotonic-clock values no other process could use, so a restarted
+coordinator starts from an empty table: the job store's recovery
+requeues every job that was RUNNING, and the coordinator counts each
+as an expired lease.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.cluster.lease_model import LeaseSanitizer, sanitize_enabled
-from repro.engine.backends.fs import atomic_write, record_files, remove_temp_files
 
 
 @dataclass
@@ -31,29 +29,15 @@ class Lease:
 
     id: str
     job_id: str
-    digest: str
     runner: str
     deadline: float
     attempt: int
 
-    def to_dict(self) -> dict:
-        # The deadline is deliberately absent: monotonic-clock values
-        # are meaningless to any other process or incarnation.
-        return {
-            "id": self.id,
-            "job_id": self.job_id,
-            "digest": self.digest,
-            "runner": self.runner,
-            "attempt": self.attempt,
-        }
-
 
 class LeaseTable:
-    """Grant / heartbeat / complete / expire bookkeeping, durably.
+    """Grant / heartbeat / complete / expire bookkeeping.
 
     Args:
-        root: Directory for lease persistence, or None for in-memory
-            only (unit tests).
         ttl: Seconds a lease lives without a heartbeat.
         id_prefix: Namespace baked into every lease id (the coordinator
             passes its incarnation, e.g. ``"i3-"``).  A restarted
@@ -63,16 +47,11 @@ class LeaseTable:
             job.
     """
 
-    def __init__(
-        self, root: "str | Path | None", ttl: float, id_prefix: str = ""
-    ) -> None:
+    def __init__(self, ttl: float, id_prefix: str = "") -> None:
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         self.ttl = ttl
         self.id_prefix = id_prefix
-        self.root = Path(root).expanduser() if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
         self._leases: dict[str, Lease] = {}
         self._by_job: dict[str, str] = {}
         self._seq = 0
@@ -82,7 +61,6 @@ class LeaseTable:
         self.expirations = 0
         self.redeliveries = 0
         self.late_completions = 0
-        self._attempts: dict[str, int] = {}  # job_id -> deliveries so far
         # Opt-in shadow checker (STFM_SIM_LEASE_SANITIZE=1): replays
         # every transition against the declarative protocol model and
         # raises on the first illegal one.  Observation-only — results
@@ -91,49 +69,19 @@ class LeaseTable:
             LeaseSanitizer() if sanitize_enabled() else None
         )
 
-    # -- recovery ------------------------------------------------------------
-    def recover(self) -> int:
-        """Discard leases persisted by a previous incarnation.
-
-        Returns how many stale leases were found; each counts as an
-        expiration (the jobs themselves are requeued by the job store's
-        own recovery, which re-queues every non-terminal job).
-        """
-        if self.root is None:
-            return 0
-        remove_temp_files(self.root)
-        stale = 0
-        for path in sorted(record_files(self.root)):
-            try:
-                raw = json.loads(path.read_text())
-                self._attempts[raw["job_id"]] = max(
-                    self._attempts.get(raw["job_id"], 0), int(raw["attempt"])
-                )
-                stale += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.observe_recover(str(raw.get("id", path.stem)))
-            except (OSError, ValueError, KeyError, TypeError):
-                pass
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.expirations += stale
-        return stale
-
     # -- lifecycle -----------------------------------------------------------
-    def grant(self, job_id: str, digest: str, runner: str, now: float) -> Lease:
-        """Lease ``job_id`` to ``runner``; the caller has already taken
-        the job off the admission queue."""
+    def grant(
+        self, job_id: str, runner: str, now: float, attempt: int
+    ) -> Lease:
+        """Lease ``job_id`` to ``runner`` as delivery ``attempt``; the
+        caller has already taken the job off the admission queue and
+        numbers the attempt from the job record."""
         if job_id in self._by_job:
             raise ValueError(f"job {job_id!r} is already leased")
         self._seq += 1
-        attempt = self._attempts.get(job_id, 0) + 1
-        self._attempts[job_id] = attempt
         lease = Lease(
             id=f"lease-{self.id_prefix}{self._seq:06d}",
             job_id=job_id,
-            digest=digest,
             runner=runner,
             deadline=now + self.ttl,
             attempt=attempt,
@@ -141,7 +89,6 @@ class LeaseTable:
         self._leases[lease.id] = lease
         self._by_job[job_id] = lease.id
         self.granted[runner] = self.granted.get(runner, 0) + 1
-        self._persist(lease)
         if self.sanitizer is not None:
             self.sanitizer.observe_grant(lease.id, job_id, runner, attempt)
         return lease
@@ -167,9 +114,7 @@ class LeaseTable:
             self.late_completions += 1
             return None
         del self._by_job[lease.job_id]
-        self._attempts.pop(lease.job_id, None)
         self.completed[lease.runner] = self.completed.get(lease.runner, 0) + 1
-        self._unpersist(lease)
         return lease
 
     def expire_due(self, now: float) -> list[Lease]:
@@ -180,7 +125,6 @@ class LeaseTable:
             del self._by_job[lease.job_id]
             self.expirations += 1
             self.redeliveries += 1
-            self._unpersist(lease)
             if self.sanitizer is not None:
                 self.sanitizer.observe_expire(lease.id)
         return due
@@ -201,20 +145,3 @@ class LeaseTable:
 
     def __len__(self) -> int:
         return len(self._leases)
-
-    # -- persistence ---------------------------------------------------------
-    def _persist(self, lease: Lease) -> None:
-        if self.root is None:
-            return
-        atomic_write(
-            self.root / f"{lease.id}.json",
-            json.dumps(lease.to_dict()).encode(),
-        )
-
-    def _unpersist(self, lease: Lease) -> None:
-        if self.root is None:
-            return
-        try:
-            (self.root / f"{lease.id}.json").unlink()
-        except OSError:
-            pass

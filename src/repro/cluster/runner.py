@@ -13,10 +13,11 @@ the engine path is not interruptible mid-simulation — but its eventual
 completion will be answered 410 and discarded, so nothing it produces
 after losing the lease can reach job state.
 
-With ``--capacity N`` the runner holds up to N leases at once,
-executing them on a small thread pool; it declares the capacity in
-every lease request so the coordinator can weight rendezvous routing
-and refuse over-grants.
+Jobs execute on a thread pool of width ``--capacity N`` (default 1):
+the runner holds up to N leases at once and asks for the next one as
+soon as a slot frees.  It declares the capacity in every lease request
+so the coordinator can weight rendezvous routing and refuse
+over-grants.
 
 Every coordinator round trip goes through a
 :class:`~repro.resilience.CircuitBreaker`: a coordinator that
@@ -45,6 +46,7 @@ import signal
 import socket
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -102,10 +104,9 @@ class ClusterRunner:
         """Signal-safe: finish the current job(s), then exit the loop."""
         self._stop.set()
 
-    def _job_finished(self) -> int:
+    def _job_finished(self) -> None:
         with self._count_lock:
             self.jobs_completed += 1
-            return self.jobs_completed
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> int:
@@ -120,10 +121,7 @@ class ClusterRunner:
             f"(capacity {self.config.capacity})",
             flush=True,
         )
-        if self.config.capacity <= 1:
-            self._run_serial()
-        else:
-            self._run_concurrent()
+        self._run_loop()
         print(
             f"runner {self.id} stopping after "
             f"{self.jobs_completed} job(s)",
@@ -133,49 +131,32 @@ class ClusterRunner:
             self.store.close()
         return 0
 
-    def _run_serial(self) -> None:
-        while not self._stop.is_set():
-            lease = self._acquire()
-            if lease is None:
-                self._stop.wait(self._idle_sleep())
-                continue
-            self._execute(lease)
-            done = self._job_finished()
-            if self.config.max_jobs is not None and done >= self.config.max_jobs:
-                break
+    def _run_loop(self) -> None:
+        """Lease into free slots of a ``capacity``-wide thread pool.
 
-    def _run_concurrent(self) -> None:
-        capacity = self.config.capacity
-        inflight: "set" = set()
-        pool = ThreadPoolExecutor(
-            max_workers=capacity, thread_name_prefix=f"{self.id}-exec"
-        )
-        try:
-            while not self._stop.is_set():
-                inflight = {f for f in inflight if not f.done()}
-                done = self.jobs_completed
-                if (
-                    self.config.max_jobs is not None
-                    and done >= self.config.max_jobs
-                ):
+        A slot is held from the lease request until the job's report,
+        so the loop asks for the next lease the moment one frees.
+        Leaving the loop (``max_jobs`` leased, or a stop request)
+        finishes and reports every job in flight.
+        """
+        max_jobs = self.config.max_jobs
+        slots = threading.Semaphore(self.config.capacity)
+        leased = 0
+        with ThreadPoolExecutor(
+            max_workers=self.config.capacity,
+            thread_name_prefix=f"{self.id}-exec",
+        ) as pool:
+            while max_jobs is None or leased < max_jobs:
+                slots.acquire()
+                if self._stop.is_set():
                     break
-                budget_left = (
-                    self.config.max_jobs - done - len(inflight)
-                    if self.config.max_jobs is not None
-                    else capacity
-                )
-                if len(inflight) >= capacity or budget_left <= 0:
-                    self._stop.wait(0.05)
-                    continue
                 lease = self._acquire()
                 if lease is None:
-                    self._stop.wait(
-                        0.05 if inflight else self._idle_sleep()
-                    )
+                    slots.release()
+                    self._stop.wait(self._idle_sleep())
                     continue
-                inflight.add(pool.submit(self._execute_guarded, lease))
-        finally:
-            pool.shutdown(wait=True)  # SIGTERM semantics: finish, report
+                leased += 1
+                pool.submit(self._execute_guarded, lease, slots)
 
     def _idle_sleep(self) -> float:
         """Idle wait between lease polls: the configured poll interval,
@@ -216,14 +197,21 @@ class ClusterRunner:
         return None
 
     # -- execution -----------------------------------------------------------
-    def _execute_guarded(self, lease: dict) -> None:
+    def _execute_guarded(
+        self, lease: dict, slots: threading.Semaphore
+    ) -> None:
         """Thread-pool wrapper: an injected service crash must take the
-        whole runner down (the lease-expiry scenario), not one thread."""
+        whole runner down (the lease-expiry scenario), not one thread.
+        The slot frees only after the job is counted and reported."""
         try:
             self._execute(lease)
         except SystemExit:
             os._exit(1)
-        self._job_finished()
+        except Exception:  # keep leasing; the lost lease expires
+            traceback.print_exc()
+        finally:
+            self._job_finished()
+            slots.release()
 
     def _execute(self, lease: dict) -> None:
         lease_id = lease["lease_id"]

@@ -69,7 +69,7 @@ class AdmissionQueue:
         return self._unfinished
 
     def submit(self, job_id: str, inflight: int = 0) -> None:
-        """Admit a job id, or raise :class:`QueueFullError`.
+        """Admit a new job id, or raise :class:`QueueFullError`.
 
         Args:
             job_id: The job to enqueue.
@@ -78,6 +78,12 @@ class AdmissionQueue:
         """
         if self.full:
             raise QueueFullError(self.retry_after(inflight))
+        self.admit(job_id)
+
+    def admit(self, job_id: str) -> None:
+        """Enqueue a job id regardless of the limit.  Restart recovery
+        admits every job it finds, so a smaller limit than the previous
+        incarnation's only gates new submissions."""
         self._pending.append(job_id)
         self._unfinished += 1
         self._idle.clear()

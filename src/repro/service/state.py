@@ -124,24 +124,28 @@ class JobStore:
                 continue
         return jobs
 
-    def recover(self) -> tuple[list[Job], list[Job]]:
+    def recover(self) -> tuple[list[Job], list[Job], int]:
         """Load persisted jobs, re-queueing interrupted ones.
 
-        Returns ``(all jobs, jobs to re-enqueue)``; non-terminal jobs
-        (queued, or running when the previous process died) come back as
-        QUEUED with ``resumed=True`` and are persisted in that state.
-        The requeue list is ordered by admission sequence, not file
-        name, so a restarted sweep re-dispatches in submission order.
-        Temporary files of writes a crash interrupted are deleted.
+        Returns ``(all jobs, jobs to re-enqueue, how many were
+        RUNNING)``; non-terminal jobs (queued, or running when the
+        previous process died) come back as QUEUED with
+        ``resumed=True`` and are persisted in that state.  Each RUNNING
+        job held a lease that died with the process.  The requeue list
+        is ordered by admission sequence, not file name, so a restarted
+        sweep re-dispatches in submission order.  Temporary files of
+        writes a crash interrupted are deleted.
         """
         remove_temp_files(self.root)
         jobs = self.load_all()
         requeue = []
+        running = 0
         for job in jobs:
             if job.status not in TERMINAL:
+                running += job.status == RUNNING
                 job.status = QUEUED
                 job.resumed = True
                 self.save(job)
                 requeue.append(job)
         requeue.sort(key=lambda job: job.seq)
-        return jobs, requeue
+        return jobs, requeue, running

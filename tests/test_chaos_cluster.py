@@ -8,8 +8,9 @@ Four layers:
   capacity-weighted rendezvous router;
 * in-process integration: coordinator crash-resume across incarnations
   (late completions from a dead incarnation refused, exactly-once
-  settlement, resume metrics), conditional store PUTs, and per-runner
-  capacity enforcement on the grant path;
+  settlement, attempt numbers and expirations from the job records,
+  resume past a smaller queue limit, resume metrics), conditional
+  store PUTs, and per-runner capacity enforcement on the grant path;
 * runner: ``--capacity N`` executes leases concurrently on a thread
   pool and still settles everything exactly once;
 * harness: the ``stfm-sim chaos`` invariant checks themselves.
@@ -45,9 +46,9 @@ from tests.test_cluster import _spec, running_coordinator
 def crashed_coordinator(tmp_path, **overrides):
     """Like ``running_coordinator`` but dies like ``kill -9``.
 
-    No drain, no lease expiry, no final checkpoint: the lease files
-    and the job store stay exactly as they were mid-flight, which is
-    what restart recovery must cope with.
+    No drain, no lease expiry, no final checkpoint: the job store
+    stays exactly as it was mid-flight (a leased job still RUNNING),
+    which is what restart recovery must cope with.
     """
     settings = dict(
         host="127.0.0.1",
@@ -228,14 +229,14 @@ class TestCheckpoint:
 
 
 class TestLeaseIdPrefix:
-    def test_prefix_lands_in_lease_ids(self, tmp_path):
-        table = LeaseTable(tmp_path / "leases", ttl=5.0, id_prefix="i2-")
-        lease = table.grant("job-1", "d" * 64, "runner-a", now=0.0)
+    def test_prefix_lands_in_lease_ids(self):
+        table = LeaseTable(ttl=5.0, id_prefix="i2-")
+        lease = table.grant("job-1", "runner-a", now=0.0, attempt=1)
         assert lease.id.startswith("lease-i2-")
 
     def test_default_prefix_keeps_legacy_ids(self):
-        table = LeaseTable(None, ttl=5.0)
-        lease = table.grant("job-1", "d" * 64, "runner-a", now=0.0)
+        table = LeaseTable(ttl=5.0)
+        lease = table.grant("job-1", "runner-a", now=0.0, attempt=1)
         assert lease.id == "lease-000001"
 
 
@@ -328,6 +329,80 @@ class TestIncarnationResume:
             assert metrics[
                 'stfm_cluster_runner_breaker_opens_total{runner="r-new"}'
             ] == 2
+
+    def test_attempts_survive_expiry_then_crash(self, tmp_path):
+        """Two leases expire, then the coordinator dies without a drain:
+        the next grant is attempt 3, numbered from the job record."""
+        with crashed_coordinator(tmp_path, lease_ttl=0.2) as (first, client):
+            view = client.submit(_spec(5))
+            for expired in (1, 2):
+                status, _, lease = client.request(
+                    "POST", "/v1/leases", body={"runner": "r-slow"}
+                )
+                assert status == 200 and lease["attempt"] == expired
+                deadline = time.time() + 10
+                while first.leases.expirations < expired:
+                    assert time.time() < deadline, "lease never expired"
+                    time.sleep(0.02)
+            assert client.job(view["id"])["attempts"] == 2
+        with running_coordinator(tmp_path) as (_second, client):
+            status, _, lease = client.request(
+                "POST", "/v1/leases", body={"runner": "r-new"}
+            )
+            assert status == 200
+            assert lease["job_id"] == view["id"]
+            assert lease["attempt"] == 3
+            assert client.job(view["id"])["attempts"] == 3
+            client.request(
+                "POST", f"/v1/leases/{lease['lease_id']}/complete",
+                body={"runner": "r-new", "result": {"fake": True}},
+            )
+
+    def test_running_job_at_crash_counts_one_expiration(self, tmp_path):
+        state = tmp_path / "state"
+        with crashed_coordinator(tmp_path) as (first, client):
+            client.submit(_spec(6))
+            status, _, _lease = client.request(
+                "POST", "/v1/leases", body={"runner": "r-old"}
+            )
+            assert status == 200
+            assert first.leases.expirations == 0
+        with running_coordinator(tmp_path) as (second, client):
+            metrics = parse_metrics(client.metrics())
+            assert metrics["stfm_cluster_lease_expirations_total"] == 1
+            assert second.leases.expirations == 1
+        # The job record is the only durable lease state.
+        assert not (state / "leases").exists()
+
+    def test_restart_with_smaller_queue_limit_comes_up(self, tmp_path):
+        with crashed_coordinator(tmp_path) as (_first, client):
+            for seed in (7, 8, 9):
+                client.submit(_spec(seed))
+        # Recovery admits all three jobs past the new limit of 2; the
+        # limit gates only new submissions.
+        with running_coordinator(tmp_path, queue_limit=2) as (second, client):
+            assert second.queue.depth == 3
+            leases = []
+            for depth in (3, 2):
+                status, _, _body = client.request(
+                    "POST", "/v1/jobs", body=_spec(10)
+                )
+                assert status == 429, f"admitted at depth {depth}"
+                status, _, lease = client.request(
+                    "POST", "/v1/leases", body={"runner": f"r-{depth}"}
+                )
+                assert status == 200
+                leases.append(lease)
+            assert second.queue.depth == 1
+            status, _, _body = client.request(
+                "POST", "/v1/jobs", body=_spec(10)
+            )
+            assert status == 202
+            for lease in leases:
+                client.request(
+                    "POST", f"/v1/leases/{lease['lease_id']}/complete",
+                    body={"runner": "r", "result": {"fake": True}},
+                )
 
     def test_checkpoint_carries_lease_counter_bases(self, tmp_path):
         with running_coordinator(

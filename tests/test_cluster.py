@@ -2,8 +2,8 @@
 
 Three layers:
 
-* unit: the lease table (grant/heartbeat/expire/late-complete,
-  durable recovery) and rendezvous affinity routing;
+* unit: the lease table (grant/heartbeat/expire/late-complete) and
+  rendezvous affinity routing;
 * in-process integration: a real coordinator on a loopback port driven
   by runner objects on threads — lease protocol, redelivery, the
   bit-identical acceptance criterion on every store backend;
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import threading
 import time
 
@@ -44,9 +43,9 @@ def _isolated_cache(tmp_path, monkeypatch):
 
 
 class TestLeaseTable:
-    def test_grant_heartbeat_complete(self, tmp_path):
-        table = LeaseTable(tmp_path / "leases", ttl=10.0)
-        lease = table.grant("job-1", "d" * 64, "runner-a", now=100.0)
+    def test_grant_heartbeat_complete(self):
+        table = LeaseTable(ttl=10.0)
+        lease = table.grant("job-1", "runner-a", now=100.0, attempt=1)
         assert lease.attempt == 1
         assert lease.deadline == 110.0
         assert table.for_job("job-1") is lease
@@ -59,59 +58,31 @@ class TestLeaseTable:
         assert settled is lease
         assert table.for_job("job-1") is None
         assert table.completed == {"runner-a": 1}
-        assert not list((tmp_path / "leases").glob("*.json"))
 
-    def test_expiry_requeues_and_counts(self, tmp_path):
-        table = LeaseTable(tmp_path / "leases", ttl=5.0)
-        lease = table.grant("job-1", "d" * 64, "runner-a", now=0.0)
+    def test_expiry_requeues_and_counts(self):
+        table = LeaseTable(ttl=5.0)
+        lease = table.grant("job-1", "runner-a", now=0.0, attempt=1)
         assert table.expire_due(now=4.9) == []
         due = table.expire_due(now=5.1)
         assert due == [lease]
         assert table.expirations == 1
         assert table.redeliveries == 1
-        # The redelivered grant is attempt 2.
-        second = table.grant("job-1", "d" * 64, "runner-b", now=6.0)
+        # The caller numbers the redelivered grant.
+        second = table.grant("job-1", "runner-b", now=6.0, attempt=2)
         assert second.attempt == 2
 
-    def test_late_completion_is_discarded(self, tmp_path):
-        table = LeaseTable(tmp_path / "leases", ttl=5.0)
-        lease = table.grant("job-1", "d" * 64, "runner-a", now=0.0)
+    def test_late_completion_is_discarded(self):
+        table = LeaseTable(ttl=5.0)
+        lease = table.grant("job-1", "runner-a", now=0.0, attempt=1)
         table.expire_due(now=10.0)
         assert table.complete(lease.id) is None
         assert table.late_completions == 1
 
-    def test_double_lease_of_one_job_is_refused(self, tmp_path):
-        table = LeaseTable(None, ttl=5.0)
-        table.grant("job-1", "d" * 64, "runner-a", now=0.0)
+    def test_double_lease_of_one_job_is_refused(self):
+        table = LeaseTable(ttl=5.0)
+        table.grant("job-1", "runner-a", now=0.0, attempt=1)
         with pytest.raises(ValueError, match="already leased"):
-            table.grant("job-1", "d" * 64, "runner-b", now=0.0)
-
-    def test_recovery_discards_stale_leases(self, tmp_path):
-        first = LeaseTable(tmp_path / "leases", ttl=5.0)
-        first.grant("job-1", "d" * 64, "runner-a", now=0.0)
-        first.grant("job-2", "e" * 64, "runner-b", now=0.0)
-        # New incarnation: monotonic deadlines from the old process are
-        # meaningless, so both persisted leases count as expired.
-        second = LeaseTable(tmp_path / "leases", ttl=5.0)
-        assert second.recover() == 2
-        assert second.expirations == 2
-        assert len(second) == 0
-        assert not list((tmp_path / "leases").glob("*.json"))
-        # Attempt numbering survives: the re-granted job is attempt 2.
-        lease = second.grant("job-1", "d" * 64, "runner-c", now=0.0)
-        assert lease.attempt == 2
-
-    def test_recovery_ignores_interrupted_temp_files(self, tmp_path):
-        first = LeaseTable(tmp_path / "leases", ttl=5.0)
-        lease = first.grant("job-1", "d" * 64, "runner-a", now=0.0)
-        # A writer killed between close and rename leaves a complete
-        # dot-prefixed copy; it is no second stale lease.
-        (tmp_path / "leases" / ".tmp-k9xyz.json").write_text(
-            json.dumps(lease.to_dict())
-        )
-        second = LeaseTable(tmp_path / "leases", ttl=5.0)
-        assert second.recover() == 1
-        assert not list((tmp_path / "leases").iterdir())
+            table.grant("job-1", "runner-b", now=0.0, attempt=2)
 
 
 class TestAffinity:

@@ -233,9 +233,10 @@ class TestJobStore:
         store.save(Job(id="a-1", spec={}, digest="a", status=RUNNING, seq=1))
         store.save(Job(id="b-2", spec={}, digest="b", status=DONE, seq=2))
         store.save(Job(id="c-3", spec={}, digest="c", status=QUEUED, seq=3))
-        jobs, requeue = JobStore(tmp_path).recover()
+        jobs, requeue, running = JobStore(tmp_path).recover()
         assert {j.id for j in jobs} == {"a-1", "b-2", "c-3"}
         assert {j.id for j in requeue} == {"a-1", "c-3"}
+        assert running == 1  # a-1 held a lease that died with the process
         assert all(j.status == QUEUED and j.resumed for j in requeue)
         # The requeued state is persisted, so a second crash recovers too.
         statuses = {j.id: j.status for j in JobStore(tmp_path).load_all()}
@@ -248,7 +249,7 @@ class TestJobStore:
         job = Job(id="abc-0001", spec={}, digest="abc", status=QUEUED, seq=1)
         store.save(job)
         (tmp_path / ".tmp-k9xyz.json").write_text(json.dumps(job.to_dict()))
-        _jobs, requeue = JobStore(tmp_path).recover()
+        _jobs, requeue, _running = JobStore(tmp_path).recover()
         assert [j.id for j in requeue] == ["abc-0001"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["abc-0001.json"]
 

@@ -93,9 +93,7 @@ class TestLeaseModelStatic:
         granted_ops = {
             op for (_state, op) in LEASE_TRANSITIONS if _state == "granted"
         }
-        assert granted_ops == {
-            "heartbeat", "complete", "expire_due", "recover"
-        }
+        assert granted_ops == {"heartbeat", "complete", "expire_due"}
 
 
 class TestLeaseSanitizer:
@@ -154,25 +152,25 @@ class TestLeaseSanitizer:
         from repro.cluster.leases import LeaseTable
 
         monkeypatch.setenv("STFM_SIM_LEASE_SANITIZE", "1")
-        table = LeaseTable(None, ttl=5.0)
+        table = LeaseTable(ttl=5.0)
         assert table.sanitizer is not None
-        lease = table.grant("j1", "d1", "r1", now=0.0)
+        lease = table.grant("j1", "r1", now=0.0, attempt=1)
         table.heartbeat(lease.id, now=1.0)
         assert table.complete(lease.id) is not None
         assert table.sanitizer.transitions_checked == 3
 
         monkeypatch.setenv("STFM_SIM_LEASE_SANITIZE", "0")
-        assert LeaseTable(None, ttl=5.0).sanitizer is None
+        assert LeaseTable(ttl=5.0).sanitizer is None
 
     def test_lease_table_expiry_path_is_observed(self, monkeypatch):
         from repro.cluster.leases import LeaseTable
 
         monkeypatch.setenv("STFM_SIM_LEASE_SANITIZE", "1")
-        table = LeaseTable(None, ttl=5.0)
-        lease = table.grant("j1", "d1", "r1", now=0.0)
+        table = LeaseTable(ttl=5.0)
+        lease = table.grant("j1", "r1", now=0.0, attempt=1)
         assert table.expire_due(now=10.0) == [lease]
         assert table.complete(lease.id) is None  # late duplicate
-        regrant = table.grant("j1", "d1", "r2", now=11.0)
+        regrant = table.grant("j1", "r2", now=11.0, attempt=2)
         assert regrant.attempt == 2
         assert table.sanitizer.transitions_checked == 4
 
