@@ -58,7 +58,7 @@ def test_engine_serial_baseline(benchmark):
 @pytest.mark.slow
 def test_engine_parallel_speedup(benchmark, tmp_path):
     runner = ExperimentRunner(
-        CONFIG, instruction_budget=BUDGET, jobs=4, cache_dir=str(tmp_path)
+        CONFIG, instruction_budget=BUDGET, jobs=4, store=str(tmp_path)
     )
     rows, _ = benchmark.pedantic(_sweep, args=(runner,), rounds=1, iterations=1)
     assert rows[-1]["workload"] == "GMEAN"
@@ -70,12 +70,12 @@ def test_engine_parallel_speedup(benchmark, tmp_path):
 def test_engine_warm_cache_wall_time(benchmark, tmp_path):
     cache = str(tmp_path / "store")
     cold = ExperimentRunner(
-        CONFIG, instruction_budget=BUDGET, jobs=4, cache_dir=cache
+        CONFIG, instruction_budget=BUDGET, jobs=4, store=cache
     )
     cold_rows, _ = _sweep(cold)
 
     warm = ExperimentRunner(
-        CONFIG, instruction_budget=BUDGET, jobs=4, cache_dir=cache
+        CONFIG, instruction_budget=BUDGET, jobs=4, store=cache
     )
     warm_rows, _ = benchmark.pedantic(
         _sweep, args=(warm,), rounds=1, iterations=1

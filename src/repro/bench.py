@@ -112,31 +112,27 @@ def _with_kernel(kernel: str):
     return _ctx()
 
 
-def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
-    """(wall seconds, instructions committed) of one 4-core shared run."""
-    from repro.engine.jobs import resolve_spec
+def _shared_system(budget: int, policy_name: str):
+    """The 4-core throughput mix under one policy, ready to run."""
+    from repro.engine.jobs import budget_for, build_system, resolve_spec
     from repro.schedulers import make_policy
     from repro.sim.config import SystemConfig
-    from repro.sim.runner import ExperimentRunner
-    from repro.sim.system import CmpSystem
 
+    config = SystemConfig(num_cores=len(_THROUGHPUT_WORKLOAD))
+    specs = [resolve_spec(name) for name in _THROUGHPUT_WORKLOAD]
+    budgets = [budget_for(spec, budget) for spec in specs]
+    policy = make_policy(policy_name, num_threads=len(specs))
+    return build_system(config, 0, specs, budgets, policy)
+
+
+def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
+    """(wall seconds, instructions committed) of one 4-core shared run."""
     with _with_kernel(kernel):
         # Construct inside the kernel context: the kernel is chosen once
         # per system, when its controller is built (cached scans and
         # sleeping cores vs the naive per-cycle loop), and the probe
         # must time the kernel it claims to.
-        config = SystemConfig(num_cores=len(_THROUGHPUT_WORKLOAD))
-        runner = ExperimentRunner(config, instruction_budget=budget)
-        specs = [resolve_spec(name) for name in _THROUGHPUT_WORKLOAD]
-        traces = [
-            runner.trace_for(spec, i, len(specs))
-            for i, spec in enumerate(specs)
-        ]
-        budgets = [runner.budget_for(spec) for spec in specs]
-        policy = make_policy("fr-fcfs", num_threads=len(specs))
-        system = CmpSystem(
-            config, traces, policy, budgets, mlp_limits=[s.mlp for s in specs]
-        )
+        system = _shared_system(budget, "fr-fcfs")
         t0 = time.perf_counter()
         snapshots = system.run()
         elapsed = time.perf_counter() - t0
@@ -146,35 +142,19 @@ def _time_throughput(kernel: str, budget: int) -> "tuple[float, int]":
 def _time_per_policy(budget: int) -> dict:
     """Event-kernel seconds of one 4-core shared run per policy.
 
-    Traces are built once and shared (they are immutable); each policy
-    gets a fresh system.  The per-policy numbers expose schedulers whose
-    per-cycle work is out of line with the others; the total is the
+    Traces are built once and shared (they are immutable and memoized
+    by :func:`repro.engine.jobs.build_trace`); each policy gets a fresh
+    system.  The per-policy numbers expose schedulers whose per-cycle
+    work is out of line with the others; the total is the
     cross-snapshot comparison quantity.
     """
-    from repro.engine.jobs import resolve_spec
-    from repro.schedulers import make_policy
     from repro.schedulers.registry import available_policies
-    from repro.sim.config import SystemConfig
-    from repro.sim.runner import ExperimentRunner
-    from repro.sim.system import CmpSystem
 
     per_policy: dict = {}
     total = 0.0
     with _with_kernel("event"):
-        config = SystemConfig(num_cores=len(_THROUGHPUT_WORKLOAD))
-        runner = ExperimentRunner(config, instruction_budget=budget)
-        specs = [resolve_spec(name) for name in _THROUGHPUT_WORKLOAD]
-        traces = [
-            runner.trace_for(spec, i, len(specs))
-            for i, spec in enumerate(specs)
-        ]
-        budgets = [runner.budget_for(spec) for spec in specs]
-        mlp_limits = [s.mlp for s in specs]
         for name in available_policies(include_extensions=True):
-            policy = make_policy(name, num_threads=len(specs))
-            system = CmpSystem(
-                config, traces, policy, budgets, mlp_limits=mlp_limits
-            )
+            system = _shared_system(budget, name)
             t0 = time.perf_counter()
             snapshots = system.run()
             elapsed = time.perf_counter() - t0
@@ -205,7 +185,7 @@ def _time_engine_parallel(scale: str) -> dict:
     jobs = 2
     timings = {}
     for label, n in (("serial_seconds", 1), ("parallel_seconds", jobs)):
-        with engine_options(EngineOptions(jobs=n, cache_dir=None)):
+        with engine_options(EngineOptions(jobs=n)):
             t0 = time.perf_counter()
             run_experiment("fig3", scale=scale)
             timings[label] = time.perf_counter() - t0
@@ -453,15 +433,19 @@ def check_failures(payload: dict) -> "list[str]":
 
 
 def run_bench(
-    output: str,
+    output: "str | None",
     quick: bool = False,
     check: bool = False,
     threshold: float = REGRESSION_THRESHOLD,
     log=print,
 ) -> int:
-    """The ``stfm-sim bench`` entry point; returns an exit code."""
+    """The ``stfm-sim bench`` entry point; returns an exit code.
+
+    The snapshot is written to ``output``; with None it is compared
+    against the snapshots in the current directory but not written.
+    """
     payload = run_suite(quick=quick, log=log)
-    root = os.path.dirname(os.path.abspath(output)) or "."
+    root = os.path.dirname(os.path.abspath(output)) if output else "."
     previous_path = find_previous(root)
     if previous_path:
         try:
@@ -476,10 +460,13 @@ def run_bench(
     else:
         log("(no previous BENCH_*.json snapshot; this is the first "
             "trajectory point)")
-    with open(output, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    log(f"wrote {output}")
+    if output:
+        with open(output, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        log(f"wrote {output}")
+    else:
+        log("(no snapshot written; pass --output to keep one)")
     if check:
         failures = check_failures(payload)
         if failures:

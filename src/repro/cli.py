@@ -129,8 +129,8 @@ def _cmd_run(args) -> int:
     scale = resolve_scale(args.scale)
     if args.seed is not None:
         scale = replace(scale, seed=args.seed)
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    options = EngineOptions(jobs=args.jobs, cache_dir=cache_dir)
+    store = None if args.no_cache else (args.cache_dir or default_cache_dir())
+    options = EngineOptions(jobs=args.jobs, store=store)
     results = []
     failures = []
     with _maybe_profile(args.profile), engine_options(options):
@@ -418,7 +418,11 @@ def _cmd_chaos(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.bench import BENCH_SEQUENCE, REGRESSION_THRESHOLD, run_bench
 
-    output = args.output or f"BENCH_{BENCH_SEQUENCE}.json"
+    # A quick run is a smoke test: it must not overwrite the tracked
+    # trajectory snapshot unless asked to.
+    output = args.output
+    if output is None and not args.quick:
+        output = f"BENCH_{BENCH_SEQUENCE}.json"
     threshold = (
         args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
     )
@@ -464,12 +468,9 @@ def _cmd_tournament(args) -> int:
         print(f"tournament: {exc}", file=sys.stderr)
         return 2
     store = None
-    cache_dir = None
-    if args.store:
-        store = ResultStore(args.store)
-    elif not args.no_cache:
-        cache_dir = args.cache_dir or default_cache_dir()
-    options = EngineOptions(jobs=args.jobs, cache_dir=cache_dir, store=store)
+    if not args.no_cache:
+        store = ResultStore(args.cache_dir or default_cache_dir())
+    options = EngineOptions(jobs=args.jobs, store=store)
     started = time.time()
     engine_before = session_report().snapshot()
     try:
@@ -671,19 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the frontier + per-cell metrics as JSON",
     )
     tournament_parser.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="persistent result store (default: $STFM_SIM_CACHE_DIR or "
-        "~/.cache/stfm-sim)",
+        "--cache-dir", metavar="LOCATION", default=None,
+        help="persistent result store: a directory, 'sqlite:/path.db', "
+        "or 'http://coordinator:port' to run cells against a cluster's "
+        "shared store (default: $STFM_SIM_CACHE_DIR or ~/.cache/stfm-sim)",
     )
     tournament_parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent result store for this run",
-    )
-    tournament_parser.add_argument(
-        "--store", metavar="LOCATION", default=None,
-        help="result-store backend overriding --cache-dir: a directory, "
-        "'sqlite:/path.db', or 'http://coordinator:port' (run cells "
-        "against a cluster's shared store)",
     )
     tournament_parser.add_argument(
         "--sanitize", action="store_true",
@@ -707,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--output", metavar="PATH", default=None,
         help="snapshot path (default: BENCH_<sequence>.json in the "
-        "current directory)",
+        "current directory; a --quick run writes none by default)",
     )
     bench_parser.add_argument(
         "--quick", action="store_true",

@@ -15,7 +15,7 @@ which plans and assembles via this package; direct use::
     plan = ExperimentPlan(SystemConfig(num_cores=4), instruction_budget=20_000)
     for policy in ("fr-fcfs", "stfm"):
         plan.add(["mcf", "libquantum", "GemsFDTD", "astar"], policy)
-    engine = ExperimentEngine(jobs=4, cache_dir="~/.cache/stfm-sim")
+    engine = ExperimentEngine(jobs=4, store="~/.cache/stfm-sim")
     results = engine.execute(plan)
     print(engine.report.summary())
 """

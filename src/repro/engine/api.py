@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.engine.executor import JobExecutor
 from repro.engine.graph import ExperimentPlan
@@ -16,27 +16,19 @@ class ExperimentEngine:
     One engine owns one executor, whose in-memory payload cache persists
     across :meth:`execute` calls — a runner that issues several plans
     (say, one per experiment figure) transparently reuses overlapping
-    jobs; the optional on-disk store extends that across processes and
-    invocations.
+    jobs; the optional result store (a :class:`ResultStore` or a location
+    string) extends that across processes and invocations.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: "str | None" = None,
-        store: "ResultStore | None" = None,
+        store: "ResultStore | str | None" = None,
         timeout: "float | None" = None,
         retries: int = 1,
-        progress: "Callable[[str], None] | None" = None,
     ) -> None:
-        if store is None and cache_dir:
-            store = ResultStore(cache_dir)
         self.executor = JobExecutor(
-            jobs=jobs,
-            store=store,
-            timeout=timeout,
-            retries=retries,
-            progress=progress,
+            jobs=jobs, store=store, timeout=timeout, retries=retries
         )
 
     @property

@@ -3,7 +3,7 @@
 The executor resolves every requested job against its two cache layers
 (per-executor memory, then the on-disk :class:`ResultStore`) and runs
 the misses — in-process when ``jobs == 1`` (the serial degenerate case,
-bit-identical to the pre-engine code path and friendly to debuggers),
+bit-identical to the parallel path and friendly to debuggers),
 or on a pool of worker processes otherwise.
 
 Parallel execution is process-per-job with bounded concurrency rather
@@ -38,7 +38,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro import faults, resilience
 from repro.engine.jobs import execute_job
@@ -201,7 +201,8 @@ class JobExecutor:
 
     Args:
         jobs: Worker processes; 1 = serial in-process execution.
-        store: Optional on-disk :class:`ResultStore` (or a directory).
+        store: Optional :class:`ResultStore`, or a location string for one
+            (a directory, ``sqlite:`` path or ``http://`` proxy URL).
         timeout: Per-job wall-clock limit in seconds (parallel mode
             only — the serial path cannot interrupt a job).
         retries: Extra attempts after a worker crash or timeout.
@@ -209,7 +210,6 @@ class JobExecutor:
             *n* waits :func:`repro.resilience.backoff` — ``backoff *
             2^(n-1)`` with a deterministic +/-15% jitter, capped at
             ``backoff_cap``.
-        progress: Optional callable receiving one line per finished job.
     """
 
     def __init__(
@@ -220,7 +220,6 @@ class JobExecutor:
         retries: int = 1,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
-        progress: "Callable[[str], None] | None" = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("need at least one worker")
@@ -236,7 +235,6 @@ class JobExecutor:
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.progress = progress
         self.memory: dict[str, dict] = {}
         self.report = EngineReport()
 
@@ -309,7 +307,6 @@ class JobExecutor:
         results: dict[str, dict] = {}
         for key, job in to_run:
             results[key] = self._run_inline(job, batch)
-            self._note(job, "done", batch)
         return results
 
     # -- parallel path ------------------------------------------------------
@@ -335,7 +332,6 @@ class JobExecutor:
                         results[entry.key] = self._run_inline(
                             entry.job, batch
                         )
-                        self._note(entry.job, "done (degraded)", batch)
                         continue
                     attempts[entry.key] = attempts.get(entry.key, 0) + 1
                     try:
@@ -343,18 +339,12 @@ class JobExecutor:
                             ctx, entry.job, attempts[entry.key],
                             inject=not entry.clean,
                         )
-                    except OSError as exc:
+                    except OSError:
                         spawn_failures += 1
                         attempts[entry.key] -= 1
                         pending.appendleft(entry)
                         if spawn_failures >= _SPAWN_FAILURE_LIMIT:
                             degraded = True
-                            self._note(
-                                entry.job,
-                                f"worker spawn failing ({exc}); "
-                                "degrading to serial execution",
-                                batch,
-                            )
                         break
                     spawn_failures = 0
                 progressed = False
@@ -371,7 +361,6 @@ class JobExecutor:
                         results[key] = value
                         batch.jobs_run += 1
                         batch.sim_time += duration
-                        self._note(state.job, "done", batch)
                     elif status == "error":
                         # Deterministic simulation exception: retrying
                         # would fail identically — fail fast.
@@ -380,7 +369,6 @@ class JobExecutor:
                         break
                     elif attempts[key] <= self.retries:
                         batch.retries += 1
-                        self._note(state.job, f"retrying ({value})", batch)
                         pending.append(
                             self._backed_off(key, state.job, attempts[key])
                         )
@@ -389,9 +377,6 @@ class JobExecutor:
                         # final attempt with injection disabled, so chaos
                         # can delay a sweep but never fail it.
                         batch.fallbacks += 1
-                        self._note(
-                            state.job, f"clean-room fallback ({value})", batch
-                        )
                         pending.append(
                             self._backed_off(
                                 key, state.job, attempts[key], clean=True
@@ -508,10 +493,3 @@ class JobExecutor:
         if state.proc.is_alive():
             state.proc.kill()
             state.proc.join(_REAP_GRACE)
-
-    def _note(self, job, status: str, batch: EngineReport) -> None:
-        if self.progress is not None:
-            done = batch.jobs_run + batch.hits
-            self.progress(
-                f"[{done}/{batch.jobs_total}] {job.describe()}: {status}"
-            )

@@ -52,27 +52,15 @@ class ExperimentPlan:
         config: SystemConfig,
         instruction_budget: int = 20_000,
         seed: int = 0,
-        min_reads: int = 100,
-        max_budget_factor: int = 50,
     ) -> None:
         self.config = config
         self.instruction_budget = instruction_budget
         self.seed = seed
-        self.min_reads = min_reads
-        self.max_budget_factor = max_budget_factor
         self._jobs: dict[str, object] = {}  # cache_key -> job, insertion order
         self.requests: list[WorkloadRequest] = []
         #: Times a requested job was already in the plan — the work the
         #: dedup avoided (before any cache is even consulted).
         self.dedup_hits = 0
-
-    def budget_for(self, spec: "str | BenchmarkSpec") -> int:
-        return budget_for(
-            resolve_spec(spec),
-            self.instruction_budget,
-            self.min_reads,
-            self.max_budget_factor,
-        )
 
     def _admit(self, job) -> str:
         key = job.cache_key()
@@ -97,7 +85,9 @@ class ExperimentPlan:
             )
         specs = tuple(resolve_spec(name) for name in names)
         num = len(specs)
-        budgets = tuple(self.budget_for(spec) for spec in specs)
+        budgets = tuple(
+            budget_for(spec, self.instruction_budget) for spec in specs
+        )
         alone_keys = tuple(
             self._admit(
                 AloneJob(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Sequence
 
 from repro.cpu.core import CoreSnapshot
 from repro.cpu.trace import Trace
@@ -49,23 +49,22 @@ def resolve_spec(item: "str | BenchmarkSpec") -> BenchmarkSpec:
     return benchmark(item)
 
 
-def budget_for(
-    spec: BenchmarkSpec,
-    instruction_budget: int,
-    min_reads: int = 100,
-    max_budget_factor: int = 50,
-) -> int:
-    """Per-benchmark instruction budget.
+#: A non-memory-intensive benchmark's budget is extended until its trace
+#: holds at least this many demand reads; otherwise its MCPI (and thus
+#: slowdown) would be statistical noise.  The paper's uniform
+#: 100M-instruction budgets provide this implicitly.
+MIN_READS = 100
+#: Cap on that extension, as a multiple of the base budget.
+MAX_BUDGET_FACTOR = 50
 
-    Non-memory-intensive benchmarks get their budget extended so their
-    trace contains at least ``min_reads`` demand reads — otherwise their
-    MCPI (and thus slowdown) would be statistical noise.
-    """
+
+def budget_for(spec: BenchmarkSpec, instruction_budget: int) -> int:
+    """Per-benchmark instruction budget (see :data:`MIN_READS`)."""
     if spec.mpki <= 0:
         return instruction_budget
-    needed = int(min_reads * 1000.0 / spec.mpki)
+    needed = int(MIN_READS * 1000.0 / spec.mpki)
     return min(
-        max(instruction_budget, needed), instruction_budget * max_budget_factor
+        max(instruction_budget, needed), instruction_budget * MAX_BUDGET_FACTOR
     )
 
 
@@ -241,6 +240,30 @@ def snapshot_from_payload(payload: dict) -> CoreSnapshot:
     )
 
 
+def build_system(
+    config: SystemConfig,
+    seed: int,
+    specs: Sequence[BenchmarkSpec],
+    budgets: Sequence[int],
+    policy,
+) -> CmpSystem:
+    """The shared run of ``specs`` under a live ``policy``: core ``i``
+    runs ``specs[i]`` on address partition ``i`` for ``budgets[i]``
+    instructions."""
+    num = len(specs)
+    traces = [
+        build_trace(config, seed, spec, budgets[i], i, num)
+        for i, spec in enumerate(specs)
+    ]
+    return CmpSystem(
+        config,
+        traces,
+        policy,
+        list(budgets),
+        mlp_limits=[spec.mlp for spec in specs],
+    )
+
+
 def run_alone_job(job: AloneJob) -> dict:
     trace = build_trace(
         job.config, job.seed, job.spec, job.budget, job.partition,
@@ -256,20 +279,10 @@ def run_alone_job(job: AloneJob) -> dict:
 
 def run_shared_job(job: SharedJob) -> dict:
     num = len(job.specs)
-    traces = [
-        build_trace(job.config, job.seed, spec, job.budgets[i], i, num)
-        for i, spec in enumerate(job.specs)
-    ]
     policy = make_policy(
         job.policy, num_threads=num, **thaw_kwargs(job.policy_kwargs)
     )
-    system = CmpSystem(
-        job.config,
-        traces,
-        policy,
-        list(job.budgets),
-        mlp_limits=[spec.mlp for spec in job.specs],
-    )
+    system = build_system(job.config, job.seed, job.specs, job.budgets, policy)
     snapshots = system.run()
     threads = []
     for i in range(num):

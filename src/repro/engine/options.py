@@ -30,19 +30,19 @@ class EngineOptions:
 
     Attributes:
         jobs: Worker processes (1 = serial in-process execution).
-        cache_dir: Result-store directory; None disables persistence.
-        store: An already-constructed :class:`ResultStore` instance
-            (overrides ``cache_dir``).  Passing the instance — rather
-            than a directory — lets several runners share one store
-            object, and with it its hit/miss counters: this is how the
-            simulation service observes cross-client dedup.
+        store: Where results persist: a location string (a directory,
+            ``sqlite:`` path or ``http://`` proxy URL) or an
+            already-constructed :class:`ResultStore`; None disables
+            persistence.  Passing the instance lets several runners
+            share one store object, and with it its hit/miss counters:
+            this is how the simulation service observes cross-client
+            dedup.
         timeout: Per-job wall-clock limit in seconds (parallel only).
         retries: Extra attempts after a worker crash or timeout.
     """
 
     jobs: int = 1
-    cache_dir: "str | None" = None
-    store: "ResultStore | None" = None
+    store: "ResultStore | str | None" = None
     timeout: "float | None" = None
     retries: int = 1
 

@@ -11,7 +11,7 @@ class Scale:
 
     Attributes:
         budget: Base per-thread instruction budget (extended for
-            non-intensive benchmarks, see ``ExperimentRunner.min_reads``).
+            non-intensive benchmarks, see ``repro.engine.jobs.MIN_READS``).
         samples: Number of workloads to run in sweep experiments
             (Figures 9/11 sample the paper's 256/32 combination spaces).
         seed: Workload-generation seed.

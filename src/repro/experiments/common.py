@@ -31,7 +31,6 @@ def make_runner(
         instruction_budget=scale.budget,
         seed=scale.seed,
         jobs=options.jobs,
-        cache_dir=options.cache_dir,
         store=options.store,
         timeout=options.timeout,
         retries=options.retries,

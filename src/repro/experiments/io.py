@@ -19,8 +19,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "experiment_id": result.experiment_id,
         "title": result.title,
         "paper_reference": result.paper_reference,
-        "rows": _plain(result.rows),
-        "extras": _plain(result.extras),
+        "rows": plain(result.rows),
+        "extras": plain(result.extras),
     }
 
 
@@ -41,12 +41,12 @@ def load_results(path: str | Path) -> list[dict]:
     return payload["results"]
 
 
-def _plain(value):
+def plain(value):
     """Coerce tuples/sets and other JSON-hostile values to plain types."""
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set)):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

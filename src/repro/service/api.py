@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.experiments import EXPERIMENTS, SCALES
+from repro.experiments.io import plain
 from repro.schedulers.registry import available_policies, make_policy
 from repro.sim.results import WorkloadResult
 from repro.workloads.spec2006 import benchmark
@@ -210,15 +211,6 @@ def workload_result_to_dict(result: WorkloadResult) -> dict:
             }
             for t in result.threads
         ],
-        "extras": {k: _plain(v) for k, v in result.extras.items()},
+        "extras": plain(result.extras),
     }
 
-
-def _plain(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return str(value)

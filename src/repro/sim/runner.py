@@ -2,14 +2,17 @@
 
 A thread's memory slowdown compares its shared-run MCPI against the MCPI
 it achieves *running alone in the same memory system under FR-FCFS*.
-The runner decomposes workloads into simulation jobs and routes them
-through the :mod:`repro.engine` subsystem: alone baselines are
-deduplicated across workloads and policies (the baseline depends only on
-the memory system, not on the co-runners), jobs run on a worker pool
-when ``jobs > 1``, and payloads are memoized in memory and — when a
-``cache_dir`` is given — in a content-addressed on-disk store shared
-across processes and invocations.  ``jobs=1`` (the default) is the
-serial in-process degenerate case, bit-identical to parallel execution.
+The runner is the front door to the :mod:`repro.engine` subsystem, the
+one code path that produces a :class:`WorkloadResult`: each request
+becomes an :class:`~repro.engine.graph.ExperimentPlan` of alone and
+shared jobs, the engine runs them, and the plan joins the payloads into
+slowdowns.  Alone baselines are deduplicated across workloads and
+policies (the baseline depends only on the memory system, not on the
+co-runners), jobs run on a worker pool when ``jobs > 1``, and payloads
+are memoized in memory and, when a ``store`` is given, in a
+content-addressed result store shared across processes and invocations.
+``jobs=1`` (the default) is the serial in-process degenerate case,
+bit-identical to parallel execution.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from repro.engine.jobs import (
     snapshot_from_payload,
 )
 from repro.engine.store import ResultStore
-from repro.schedulers.base import SchedulingPolicy
 from repro.sim.config import SystemConfig
-from repro.sim.results import ThreadResult, WorkloadResult
-from repro.sim.system import CmpSystem
+from repro.sim.results import WorkloadResult
 from repro.workloads.spec2006 import BenchmarkSpec
 
 Workload = list["str | BenchmarkSpec"]
@@ -42,11 +43,8 @@ class ExperimentRunner:
         config: SystemConfig,
         instruction_budget: int = 20_000,
         seed: int = 0,
-        min_reads: int = 100,
-        max_budget_factor: int = 50,
         jobs: int = 1,
-        cache_dir: "str | None" = None,
-        store: "ResultStore | None" = None,
+        store: "ResultStore | str | None" = None,
         timeout: "float | None" = None,
         retries: int = 1,
     ) -> None:
@@ -54,19 +52,14 @@ class ExperimentRunner:
 
         Args:
             config: The system under test.
-            instruction_budget: Base per-thread instruction budget.
+            instruction_budget: Base per-thread instruction budget
+                (extended for non-intensive benchmarks, see
+                :func:`repro.engine.jobs.budget_for`).
             seed: Workload-generation seed.
-            min_reads: Non-memory-intensive benchmarks get their budget
-                extended so their trace contains at least this many demand
-                reads — otherwise their MCPI (and thus slowdown) would be
-                statistical noise.  The paper's uniform 100M-instruction
-                budgets provide this implicitly.
-            max_budget_factor: Cap on the budget extension.
             jobs: Simulation worker processes (1 = serial, in-process).
-            cache_dir: Persist job results in this directory (see
-                :class:`repro.engine.ResultStore`); None keeps results
-                in memory only.
-            store: An existing result store (overrides ``cache_dir``).
+            store: Persist job results in this :class:`ResultStore`, or
+                in one at this location (a directory, ``sqlite:`` path or
+                ``http://`` proxy URL); None keeps results in memory only.
             timeout: Per-job wall-clock limit in seconds (parallel only).
             retries: Extra attempts after a worker crash or timeout.
         """
@@ -75,19 +68,9 @@ class ExperimentRunner:
         self.config = config
         self.instruction_budget = instruction_budget
         self.seed = seed
-        self.min_reads = min_reads
-        self.max_budget_factor = max_budget_factor
         self.engine = ExperimentEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            store=store,
-            timeout=timeout,
-            retries=retries,
+            jobs=jobs, store=store, timeout=timeout, retries=retries
         )
-        # Identity caches on top of the engine's payload caches: repeat
-        # calls return the *same* trace / snapshot objects.
-        self._alone_cache: dict[str, CoreSnapshot] = {}
-        self._trace_cache: dict[tuple, object] = {}
 
     @property
     def report(self):
@@ -95,48 +78,25 @@ class ExperimentRunner:
         return self.engine.report
 
     def budget_for(self, name: "str | BenchmarkSpec") -> int:
-        """Per-benchmark instruction budget (see ``min_reads``)."""
-        return budget_for(
-            resolve_spec(name),
-            self.instruction_budget,
-            self.min_reads,
-            self.max_budget_factor,
-        )
+        """Per-benchmark instruction budget (see :func:`budget_for`)."""
+        return budget_for(resolve_spec(name), self.instruction_budget)
 
     def _plan(self) -> ExperimentPlan:
         return ExperimentPlan(
             self.config,
             instruction_budget=self.instruction_budget,
             seed=self.seed,
-            min_reads=self.min_reads,
-            max_budget_factor=self.max_budget_factor,
         )
 
-    # -- trace management ---------------------------------------------------
     def trace_for(
         self, name: "str | BenchmarkSpec", partition: int, num_partitions: int
     ):
         spec = resolve_spec(name)
-        budget = self.budget_for(spec)
-        # The key carries everything the trace depends on — budget, seed
-        # and memory system included — so entries stay valid if shared.
-        key = (
-            spec,
-            partition,
+        return build_trace(
+            self.config, self.seed, spec, self.budget_for(spec), partition,
             num_partitions,
-            budget,
-            self.seed,
-            self.config.memory_key(),
         )
-        trace = self._trace_cache.get(key)
-        if trace is None:
-            trace = build_trace(
-                self.config, self.seed, spec, budget, partition, num_partitions
-            )
-            self._trace_cache[key] = trace
-        return trace
 
-    # -- alone baselines ------------------------------------------------------
     def alone_snapshot(
         self, name: "str | BenchmarkSpec", partition: int, num_partitions: int
     ) -> CoreSnapshot:
@@ -150,19 +110,13 @@ class ExperimentRunner:
             seed=self.seed,
             config=self.config,
         )
-        key = job.cache_key()
-        snapshot = self._alone_cache.get(key)
-        if snapshot is None:
-            payloads = self.engine.run_jobs([job])
-            snapshot = snapshot_from_payload(payloads[key])
-            self._alone_cache[key] = snapshot
-        return snapshot
+        payloads = self.engine.run_jobs([job])
+        return snapshot_from_payload(payloads[job.cache_key()])
 
-    # -- shared runs ---------------------------------------------------------
     def run_workload(
         self,
         names: Workload,
-        policy: str | SchedulingPolicy = "fr-fcfs",
+        policy: str = "fr-fcfs",
         policy_kwargs: dict | None = None,
     ) -> WorkloadResult:
         """Run a multiprogrammed workload and compute all metrics.
@@ -171,14 +125,9 @@ class ExperimentRunner:
             names: Benchmark names or explicit specs, one per core
                 (duplicates allowed — each core slot gets its own
                 address partition).
-            policy: Policy name (see :func:`repro.schedulers.make_policy`)
-                or an already-constructed policy instance.
+            policy: Policy name (see :func:`repro.schedulers.make_policy`).
             policy_kwargs: Extra options for the policy factory.
         """
-        if isinstance(policy, SchedulingPolicy):
-            # A live policy object cannot be content-addressed or shipped
-            # to a worker; run it directly in-process.
-            return self._run_workload_direct(names, policy)
         plan = self._plan()
         plan.add(names, policy, policy_kwargs)
         return self.engine.execute(plan)[0]
@@ -239,53 +188,3 @@ class ExperimentRunner:
                 per_policy[policy] = results[index]
                 index += 1
         return sweep
-
-    # -- legacy direct path ---------------------------------------------------
-    def _run_workload_direct(
-        self, names: Workload, policy: SchedulingPolicy
-    ) -> WorkloadResult:
-        """The pre-engine serial path, kept for live policy instances."""
-        if not names:
-            raise ValueError("workload cannot be empty")
-        if len(names) > self.config.num_cores:
-            raise ValueError(
-                f"{len(names)} benchmarks for {self.config.num_cores} cores"
-            )
-        specs = [resolve_spec(name) for name in names]
-        num = len(specs)
-        traces = [self.trace_for(spec, i, num) for i, spec in enumerate(specs)]
-        budgets = [self.budget_for(spec) for spec in specs]
-        mlp_limits = [spec.mlp for spec in specs]
-        system = CmpSystem(
-            self.config, traces, policy, budgets, mlp_limits=mlp_limits
-        )
-        snapshots = system.run()
-
-        threads = []
-        for i, spec in enumerate(specs):
-            alone = self.alone_snapshot(spec, i, num)
-            shared = snapshots[i]
-            mem_stats = system.controller.thread_stats[i]
-            threads.append(
-                ThreadResult(
-                    name=spec.name,
-                    ipc_alone=alone.ipc,
-                    ipc_shared=shared.ipc,
-                    mcpi_alone=alone.mcpi,
-                    mcpi_shared=shared.mcpi,
-                    slowdown=_slowdown(shared.mcpi, alone.mcpi),
-                    row_hit_rate_shared=mem_stats.row_hit_rate,
-                )
-            )
-        extras = {"cycles": system.now}
-        if hasattr(policy, "fairness_rule_fraction"):
-            extras["fairness_rule_fraction"] = policy.fairness_rule_fraction
-        return WorkloadResult(
-            policy=policy.name, threads=tuple(threads), extras=extras
-        )
-
-
-def _slowdown(mcpi_shared: float, mcpi_alone: float) -> float:
-    from repro.metrics.fairness import memory_slowdown
-
-    return memory_slowdown(mcpi_shared, mcpi_alone)

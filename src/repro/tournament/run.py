@@ -65,7 +65,6 @@ def run_tournament(
         instruction_budget=spec.budget,
         seed=spec.seed,
         jobs=options.jobs,
-        cache_dir=options.cache_dir,
         store=options.store,
         timeout=options.timeout,
         retries=options.retries,

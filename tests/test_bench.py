@@ -34,3 +34,27 @@ def test_skipped_probe_is_not_compared():
         "metrics": {"engine_parallel": {"serial_normalized": 40.0}},
     }
     assert bench.compare(current, previous, 1.25)["ratios"] == {}
+
+
+def test_quick_run_without_output_keeps_the_tracked_snapshot(
+    monkeypatch, tmp_path
+):
+    """``bench --quick --check`` is a smoke test: without ``--output`` it
+    must not overwrite the tracked ``BENCH_<n>.json``.  A full run still
+    writes it."""
+    from repro.cli import main
+
+    def tiny_suite(quick=False, log=print):
+        return {"schema": 1, "sequence": bench.BENCH_SEQUENCE, "metrics": {}}
+
+    monkeypatch.setattr(bench, "run_suite", tiny_suite)
+    monkeypatch.chdir(tmp_path)
+    tracked = tmp_path / f"BENCH_{bench.BENCH_SEQUENCE}.json"
+    tracked.write_bytes(b'{"sentinel": true}\n')
+
+    assert main(["bench", "--quick", "--check"]) == 0
+    assert tracked.read_bytes() == b'{"sentinel": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [tracked.name]
+
+    assert main(["bench"]) == 0
+    assert tracked.read_bytes() != b'{"sentinel": true}\n'

@@ -28,9 +28,10 @@ from repro.engine import (
     engine_options,
     register_job_kind,
 )
-from repro.engine.jobs import freeze_kwargs
+from repro.engine.jobs import build_system, freeze_kwargs, resolve_spec
 from repro.experiments.base import Scale
 from repro.experiments.common import ALL_POLICIES, make_runner, policy_sweep
+from repro.metrics.fairness import memory_slowdown
 from repro.schedulers.registry import make_policy
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
@@ -238,7 +239,7 @@ class TestExecutorFaults:
 class TestCacheBehaviour:
     def test_hit_and_miss_across_two_runners(self, tmp_path):
         first = ExperimentRunner(
-            CONFIG, instruction_budget=1_500, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_500, store=str(tmp_path)
         )
         cold = first.run_policies(["mcf", "hmmer"], ["fr-fcfs", "stfm"])
         assert first.report.jobs_run == 4  # 2 alone + 2 shared
@@ -246,7 +247,7 @@ class TestCacheBehaviour:
 
         # A fresh runner (fresh process in real life) hits only the disk.
         second = ExperimentRunner(
-            CONFIG, instruction_budget=1_500, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_500, store=str(tmp_path)
         )
         warm = second.run_policies(["mcf", "hmmer"], ["fr-fcfs", "stfm"])
         assert second.report.jobs_run == 0
@@ -257,11 +258,11 @@ class TestCacheBehaviour:
 
     def test_changed_seed_misses(self, tmp_path):
         first = ExperimentRunner(
-            CONFIG, instruction_budget=1_500, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_500, store=str(tmp_path)
         )
         first.run_workload(["mcf", "hmmer"], "stfm")
         other_seed = ExperimentRunner(
-            CONFIG, instruction_budget=1_500, seed=9, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_500, seed=9, store=str(tmp_path)
         )
         other_seed.run_workload(["mcf", "hmmer"], "stfm")
         assert other_seed.report.hits == 0
@@ -276,16 +277,36 @@ class TestCacheBehaviour:
 
 
 class TestSerialParallelEquality:
-    def test_engine_path_matches_legacy_direct_path(self):
-        engine_runner = ExperimentRunner(CONFIG, instruction_budget=1_500)
-        via_engine = engine_runner.run_workload(["mcf", "hmmer"], "stfm")
-        direct_runner = ExperimentRunner(CONFIG, instruction_budget=1_500)
-        via_direct = direct_runner.run_workload(
-            ["mcf", "hmmer"], make_policy("stfm", num_threads=2)
-        )
-        assert via_engine.summary_row() == via_direct.summary_row()
-        assert via_engine.extras == via_direct.extras
-        assert via_engine.threads == via_direct.threads
+    def test_engine_path_matches_in_process_system(self):
+        """Differential check of the engine path: the same mix built and
+        run in this process measures exactly what ``run_workload``
+        reports, and the slowdowns divide by the alone baselines."""
+        names = ["mcf", "hmmer"]
+        runner = ExperimentRunner(CONFIG, instruction_budget=1_500)
+        via_engine = runner.run_workload(names, "stfm")
+
+        specs = [resolve_spec(name) for name in names]
+        budgets = [runner.budget_for(spec) for spec in specs]
+        policy = make_policy("stfm", num_threads=len(specs))
+        system = build_system(CONFIG, runner.seed, specs, budgets, policy)
+        snapshots = system.run()
+
+        assert via_engine.policy == policy.name
+        assert via_engine.extras == {
+            "cycles": system.now,
+            "fairness_rule_fraction": policy.fairness_rule_fraction,
+        }
+        assert [t.name for t in via_engine.threads] == names
+        for i, thread in enumerate(via_engine.threads):
+            stats = system.controller.thread_stats[i]
+            assert thread.ipc_shared == snapshots[i].ipc
+            assert thread.mcpi_shared == snapshots[i].mcpi
+            assert thread.row_hit_rate_shared == stats.row_hit_rate
+            alone = runner.alone_snapshot(specs[i], i, len(specs))
+            assert thread.mcpi_alone == alone.mcpi
+            assert thread.slowdown == memory_slowdown(
+                snapshots[i].mcpi, alone.mcpi
+            )
 
     def test_sweep_identical_serial_vs_parallel_and_warm_cache(self, tmp_path):
         """The acceptance criterion: >=4 workloads x all policies, equal
@@ -296,7 +317,7 @@ class TestSerialParallelEquality:
         )
 
         parallel = ExperimentRunner(
-            CONFIG, instruction_budget=1_200, jobs=4, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_200, jobs=4, store=str(tmp_path)
         )
         rows_parallel, text_parallel = policy_sweep(
             parallel, SWEEP_WORKLOADS, ALL_POLICIES
@@ -309,7 +330,7 @@ class TestSerialParallelEquality:
         assert parallel.report.jobs_run == 27
 
         warm = ExperimentRunner(
-            CONFIG, instruction_budget=1_200, jobs=4, cache_dir=str(tmp_path)
+            CONFIG, instruction_budget=1_200, jobs=4, store=str(tmp_path)
         )
         rows_warm, text_warm = policy_sweep(warm, SWEEP_WORKLOADS, ALL_POLICIES)
         assert warm.report.jobs_run == 0
@@ -329,7 +350,7 @@ class TestSerialParallelEquality:
         serial = ExperimentRunner(config, instruction_budget=6_000, jobs=1)
         rows_serial, _ = policy_sweep(serial, workloads, ALL_POLICIES)
         parallel = ExperimentRunner(
-            config, instruction_budget=6_000, jobs=4, cache_dir=str(tmp_path)
+            config, instruction_budget=6_000, jobs=4, store=str(tmp_path)
         )
         rows_parallel, _ = policy_sweep(parallel, workloads, ALL_POLICIES)
         assert rows_serial == rows_parallel
@@ -337,7 +358,7 @@ class TestSerialParallelEquality:
 
 class TestOptionsPlumbing:
     def test_make_runner_picks_up_ambient_options(self, tmp_path):
-        with engine_options(EngineOptions(jobs=3, cache_dir=str(tmp_path))):
+        with engine_options(EngineOptions(jobs=3, store=str(tmp_path))):
             runner = make_runner(2, Scale(budget=1_000, samples=1))
         assert runner.engine.executor.jobs == 3
         assert runner.engine.store is not None

@@ -452,7 +452,7 @@ class TestChaosEndToEnd:
         """The PR's acceptance criterion."""
         scale = resolve_scale("tiny")
         with engine_options(
-            EngineOptions(jobs=1, cache_dir=str(tmp_path / "clean"))
+            EngineOptions(jobs=1, store=str(tmp_path / "clean"))
         ):
             clean = run_experiment("fig3", scale=scale)
 

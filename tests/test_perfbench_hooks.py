@@ -7,11 +7,17 @@ of every policy, runs a short simulation under each, and checks that
 ``restore`` puts every original back.  The spans must also keep counting
 calls: every policy's hooks feed ``policy``, and STFM's interference
 updates feed ``estimator``.
+
+The ``sweep`` workload also wraps the engine by name (the plan
+executor, the job runner and the result store); a second test runs one
+of its units traced and checks that those spans count calls and that
+``restore`` undoes them.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from repro.engine.jobs import build_trace
@@ -73,3 +79,34 @@ def test_trace_simulator_wraps_every_policy_and_restores():
     assert tracer.calls("policy") > 0
     for span in UNCALLED_SPANS:
         assert tracer.calls(span) == 0, span
+
+
+def test_sweep_trace_wraps_the_engine_and_restores(tmp_path, monkeypatch):
+    # sweep.py imports its sibling as ``common``.
+    monkeypatch.setitem(sys.modules, "common", _load("common"))
+    sweep = _load("sweep").SweepWorkload(seed=1, scratch=tmp_path)
+    sweep.BUDGET = 1_500
+    tracer = _load("tracer").Tracer()
+    try:
+        sweep.install_trace(tracer)
+        patches = list(tracer._patches)
+        for owner, attr, original in patches:
+            assert owner.__dict__[attr] is not original
+        sweep.prepare()
+        with tracer.span("unit"):
+            sweep.unit(0)
+        metrics = sweep.layer_metrics(tracer)
+    finally:
+        tracer.restore()
+        sweep.close()
+    for owner, attr, original in patches:
+        assert owner.__dict__[attr] is original
+    unique = len(sweep.MIX) + len(sweep.POLICIES)
+    assert tracer.calls("engine.execute") == 2  # the cold and warm passes
+    assert tracer.calls("engine.run") == 2
+    assert tracer.calls("engine.job") == unique
+    assert tracer.calls("store.get") == 2 * unique
+    assert tracer.calls("store.put") == unique
+    assert tracer.calls("sim.run") == unique
+    assert metrics["engine.sims_per_unit"] == unique
+    assert metrics["store.get_ms"] > 0 and metrics["store.put_ms"] > 0

@@ -278,7 +278,7 @@ class TestSanitizedSimulations:
             SystemConfig(num_cores=2),
             instruction_budget=self.BUDGET,
             jobs=2,
-            cache_dir=str(tmp_path / "store"),
+            store=str(tmp_path / "store"),
         )
         result = runner.run_workload(self.WORKLOAD, "stfm")
         monkeypatch.setenv(SANITIZE_ENV, "0")

@@ -135,10 +135,16 @@ class TestThreadWeights:
 
 
 class TestRunnerMechanics:
-    def test_alone_cache_hit(self, runner_2core):
-        first = runner_2core.alone_snapshot("hmmer", 0, 2)
-        second = runner_2core.alone_snapshot("hmmer", 0, 2)
-        assert first is second
+    def test_alone_cache_hit(self):
+        runner = ExperimentRunner(
+            SystemConfig(num_cores=2), instruction_budget=8_000, seed=0
+        )
+        first = runner.alone_snapshot("hmmer", 0, 2)
+        assert runner.report.jobs_run == 1
+        second = runner.alone_snapshot("hmmer", 0, 2)
+        assert runner.report.jobs_run == 1
+        assert runner.report.hits_memory == 1
+        assert second == first
 
     def test_traces_shared_between_alone_and_shared(self, runner_2core):
         trace = runner_2core.trace_for("hmmer", 0, 2)

@@ -212,7 +212,7 @@ class TestFrontier:
 class TestEndToEnd:
     def test_quick_tournament_produces_frontier(self):
         spec = quick_spec()
-        with engine_options(EngineOptions(jobs=1, cache_dir=None)):
+        with engine_options(EngineOptions(jobs=1)):
             result = run_tournament(spec)
         assert len(result.cells) == 4  # 2 policies x 2 workloads
         keys = {cell["key"] for cell in result.cells}
@@ -232,9 +232,9 @@ class TestEndToEnd:
 
     def test_serial_and_parallel_bit_identical(self):
         spec = quick_spec()
-        with engine_options(EngineOptions(jobs=1, cache_dir=None)):
+        with engine_options(EngineOptions(jobs=1)):
             serial = run_tournament(spec)
-        with engine_options(EngineOptions(jobs=2, cache_dir=None)):
+        with engine_options(EngineOptions(jobs=2)):
             parallel = run_tournament(spec)
         assert serial.cells == parallel.cells
         assert serial.aggregates == parallel.aggregates
@@ -243,10 +243,10 @@ class TestEndToEnd:
     def test_warm_rerun_zero_new_simulations(self, tmp_path):
         spec = quick_spec()
         store = str(tmp_path / "store")
-        with engine_options(EngineOptions(jobs=1, cache_dir=store)):
+        with engine_options(EngineOptions(jobs=1, store=store)):
             cold = run_tournament(spec)
         before = session_report().snapshot()
-        with engine_options(EngineOptions(jobs=1, cache_dir=store)):
+        with engine_options(EngineOptions(jobs=1, store=store)):
             warm = run_tournament(spec)
         delta = session_report().since(before)
         assert delta.jobs_run == 0
