@@ -83,6 +83,15 @@ CASES: dict[str, tuple] = {
     "8core-2ch/stfm-ready-basis": (
         EIGHT_CORE_MIX, "stfm", {"interference_basis": "ready"}, {}, 0,
     ),
+    # Weighted decisions: scaled slowdowns, and a zero weight that
+    # pins its thread's slowdown at 1.
+    "kernel/stfm-weighted": (
+        KERNEL_MIX, "stfm", {"weights": [1, 4, 0.5, 0]}, {}, 0,
+    ),
+    # Interval resets that fire inside the run.
+    "kernel/stfm-short-interval": (
+        KERNEL_MIX, "stfm", {"interval_length": 1 << 12}, {}, 0,
+    ),
 }
 
 
