@@ -150,13 +150,14 @@ class MemoryController:
         self.write_drain_high = write_drain_high
         self.write_drain_low = write_drain_low
         self._draining = [False] * mapper.num_channels
-        self.policy = policy
-        policy.bind(self)
-
         # BankAccessParallelism: in-flight serviced requests per thread,
-        # retired lazily via a (completion_time, thread) heap.
+        # retired lazily via a (completion_time, thread) heap.  Built
+        # before the policy binds: STFM's estimator reads the counts in
+        # place (never rebound).
         self._in_service: list[tuple[int, int]] = []
         self._bank_access_parallelism = [0] * num_threads
+        self.policy = policy
+        policy.bind(self)
 
         self.thread_stats = [ThreadMemStats() for _ in range(num_threads)]
         self.commands_issued = 0

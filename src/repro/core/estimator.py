@@ -10,8 +10,8 @@ estimator updates every thread's extra-stall-time estimate:
    for the same bank are delayed by ``R``'s service latency, amortized
    over the thread's ``BankWaitingParallelism`` (requests waiting in
    different banks overlap), scaled by ``gamma``:
-   ``Latency(R) / (gamma * BankWaitingParallelism)`` with
-   ``gamma = 1/2``.
+   ``Latency(R) / (gamma * BankWaitingParallelism)``.  The paper set
+   ``gamma = 1/2``; ours defaults to 1.0 (DESIGN.md §3.10, item 2).
 3. **The own thread** — if the serviced request's row-buffer outcome
    differs from what it would have been had the thread run alone (tracked
    via ``LastRowAddress``), the latency difference — positive for e.g. a
@@ -35,7 +35,6 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.registers import StfmRegisters
-from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT, RowBufferOutcome
 
 if TYPE_CHECKING:
     from repro.controller.controller import MemoryController
@@ -81,6 +80,13 @@ class InterferenceEstimator:
         self.controller = controller
         self.gamma = gamma
         self.basis = basis
+        timing = controller.timing
+        # The outcome latencies of rule 2: a closed row pays tRCD, a
+        # conflict tRP + tRCD.
+        self._t_closed = timing.rcd
+        self._t_conflict = timing.rp + timing.rcd
+        self._num_banks = controller.queues.num_banks
+        self._access_parallelism = controller._bank_access_parallelism
 
     def on_command_issued(
         self,
@@ -113,7 +119,7 @@ class InterferenceEstimator:
         them; threads are visited in id order."""
         request = candidate.request
         queues = self.controller.queues
-        gbank = queues.global_bank(request.channel, request.bank)
+        gbank = request.channel * self._num_banks + request.bank
         issuer = candidate.thread_id
         threads = self.registers.threads
         waiting_banks = queues.waiting_banks
@@ -174,39 +180,36 @@ class InterferenceEstimator:
 
     # -- rule 2: own-thread extra latency -----------------------------------
     def _update_own_thread(self, candidate: "CommandCandidate") -> None:
+        """Charge the issuer the latency its row-buffer outcome cost
+        over the outcome it would have had alone, amortized over its
+        ``BankAccessParallelism``, then record the row it accessed.
+
+        An outcome's latency beyond the unavoidable column access (the
+        paper's ``ExtraLatency``) is 0 for a hit, ``tRCD`` for a closed
+        row and ``tRP + tRCD`` for a conflict.  The actual outcome is
+        read from the request's ACTIVATE/PRECHARGE flags, the alone one
+        from the thread's ``LastRowAddress`` for the bank.
+        """
         request = candidate.request
         thread = request.thread_id
-        coords = request.coords
-        global_bank = self.controller.queues.global_bank(
-            coords.channel, coords.bank
-        )
-        alone_row = self.registers.last_row(thread, global_bank)
-        if alone_row is None:
-            alone_outcome = ROW_CLOSED
-        elif alone_row == coords.row:
-            alone_outcome = ROW_HIT
+        own = self.registers.threads[thread]
+        last_row = own.last_row
+        global_bank = request.channel * self._num_banks + request.bank
+        row = request.row
+        if request.got_precharge:
+            extra = self._t_conflict
+        elif request.got_activate:
+            extra = self._t_closed
         else:
-            alone_outcome = ROW_CONFLICT
-        actual_outcome = request.service_outcome()
-        extra = self._outcome_latency(actual_outcome) - self._outcome_latency(
-            alone_outcome
-        )
+            extra = 0
+        alone_row = last_row.get(global_bank)
+        if alone_row is None:
+            extra -= self._t_closed
+        elif alone_row != row:
+            extra -= self._t_conflict
         if extra:
-            parallelism = max(
-                1, self.controller.bank_access_parallelism(thread)
+            parallelism = self._access_parallelism[thread]
+            own.t_interference += (
+                extra / parallelism if parallelism > 1 else extra
             )
-            self.registers.add_interference(thread, extra / parallelism)
-        self.registers.record_row(thread, global_bank, coords.row)
-
-    def _outcome_latency(self, outcome: RowBufferOutcome) -> int:
-        """Row-access latency beyond the unavoidable column access.
-
-        A hit needs nothing extra; a closed row pays ``tRCD``; a conflict
-        pays ``tRP + tRCD`` (the paper's ``ExtraLatency``).
-        """
-        timing = self.controller.timing
-        if outcome is ROW_HIT:
-            return 0
-        if outcome is ROW_CLOSED:
-            return timing.rcd
-        return timing.rp + timing.rcd
+        last_row[global_bank] = row

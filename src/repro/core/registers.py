@@ -22,7 +22,9 @@ are read through them rather than duplicated here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 
 #: Saturation value for the slowdown estimate.  The hardware stores
@@ -30,33 +32,60 @@ from dataclasses import dataclass, field
 SLOWDOWN_CAP = 128.0
 
 
-def estimate_slowdown(
-    shared: int, interference: float, weight: "float | None" = None
-) -> float:
-    """Memory slowdown ``S = Tshared / (Tshared - Tinterference)``.
+def slowdown_extremes(
+    threads: "Sequence[ThreadRegisters]",
+    cores: Sequence,
+    queued: Sequence[int],
+    weighted: bool = True,
+) -> tuple[int, float, "int | None", float]:
+    """Memory slowdown ``S = Tshared / (Tshared - Tinterference)`` of
+    every thread ``t`` with ``queued[t]`` set, in one pass.
 
-    The single home of the formula: the register file and STFM's
-    per-cycle decision both evaluate it here, so the two cannot drift
-    apart in float rounding.  ``Talone`` is
-    estimated as ``Tshared - Tinterference`` (Section 3.2.2).  Saturates
-    at :data:`SLOWDOWN_CAP`; a thread with no stall time yet has
-    slowdown 1 (it cannot have been slowed).  Negative interference
-    (constructive sharing, footnote 10) can make the slowdown dip
-    below 1.
+    The single home of the formula: STFM's per-cycle decision calls it
+    once per DRAM cycle over every thread, and the register file's
+    one-thread accessors call it over one, so the two cannot drift apart
+    in float rounding.  ``Tshared`` is ``cores[t].memory_stall_cycles``
+    less the register's offset, read in place; ``Talone`` is estimated
+    as ``Tshared - Tinterference`` (Section 3.2.2).  The slowdown
+    saturates at :data:`SLOWDOWN_CAP`; a thread with no stall time yet
+    has slowdown 1 (it cannot have been slowed).  Negative interference
+    (constructive sharing, footnote 10) can make the slowdown dip below
+    1.
 
-    With a ``weight``, returns the weight-scaled slowdown
-    ``S' = 1 + (S - 1) * Weight`` instead: threads with higher weights
-    are interpreted as more slowed down and thus prioritized earlier
-    (Section 3.3).
+    ``weighted`` scales each slowdown by its thread's weight,
+    ``S' = 1 + (S - 1) * Weight``: threads with higher weights are
+    interpreted as more slowed down and thus prioritized earlier
+    (Section 3.3).  A thread with no stall time keeps ``S' = 1``.
+
+    Returns:
+        ``(active, s_max, t_max, s_min)``: how many threads were
+        evaluated, the largest slowdown and its thread (ties go to the
+        larger thread id) and the smallest slowdown.  With no thread
+        evaluated, ``t_max`` is None and the extremes are infinite.
     """
-    if shared <= 0:
-        raw = 1.0
-    else:
-        alone = shared - interference
-        raw = SLOWDOWN_CAP if alone <= shared / SLOWDOWN_CAP else shared / alone
-    if weight is None:
-        return raw
-    return 1.0 + (raw - 1.0) * weight
+    active = 0
+    s_max = -math.inf
+    s_min = math.inf
+    t_max = None
+    for t, reads in enumerate(queued):
+        if not reads:
+            continue
+        active += 1
+        thread = threads[t]
+        shared = cores[t].memory_stall_cycles - thread.tshared_offset
+        if shared <= 0:
+            s = 1.0
+        else:
+            alone = shared - thread.t_interference
+            s = SLOWDOWN_CAP if alone <= shared / SLOWDOWN_CAP else shared / alone
+            if weighted:
+                s = 1.0 + (s - 1.0) * thread.weight
+        if s >= s_max:
+            s_max = s
+            t_max = t
+        if s < s_min:
+            s_min = s
+    return active, s_max, t_max, s_min
 
 
 def check_alpha(alpha: float) -> float:
@@ -178,21 +207,20 @@ class StfmRegisters:
         return stall_counter - self.threads[thread_id].tshared_offset
 
     def slowdown(self, thread_id: int, stall_counter: int) -> float:
-        """Raw memory slowdown of a thread (see :func:`estimate_slowdown`)."""
-        return estimate_slowdown(
-            self.tshared(thread_id, stall_counter),
-            self.threads[thread_id].t_interference,
-        )
+        """Raw memory slowdown of a thread (see :func:`slowdown_extremes`)."""
+        return self._slowdown(thread_id, stall_counter, weighted=False)
 
     def weighted_slowdown(self, thread_id: int, stall_counter: int) -> float:
         """Weight-scaled slowdown of a thread (see
-        :func:`estimate_slowdown`)."""
-        thread = self.threads[thread_id]
-        return estimate_slowdown(
-            self.tshared(thread_id, stall_counter),
-            thread.t_interference,
-            thread.weight,
+        :func:`slowdown_extremes`)."""
+        return self._slowdown(thread_id, stall_counter, weighted=True)
+
+    def _slowdown(self, thread_id: int, stall_counter: int, weighted: bool) -> float:
+        core = SimpleNamespace(memory_stall_cycles=stall_counter)
+        _, s, _, _ = slowdown_extremes(
+            (self.threads[thread_id],), (core,), (1,), weighted
         )
+        return s
 
     def add_interference(self, thread_id: int, cycles: float) -> None:
         self.threads[thread_id].t_interference += cycles

@@ -12,20 +12,19 @@ Every DRAM cycle the policy:
    maximize throughput.
 
 ``Tshared`` is supplied by the cores (cycles the oldest instruction was a
-pending L2 miss); the simulator wires a ``tshared_source`` callable in
-place of the paper's counter communicated with each memory request.
+pending L2 miss).  In place of the paper's counter communicated with each
+memory request, the simulator wires the cores themselves, and each DRAM
+cycle reads their ``memory_stall_cycles`` counters where they live.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from types import SimpleNamespace
 from typing import Callable
 
 from repro.core.estimator import InterferenceEstimator, check_estimator_params
-from repro.core.registers import (
-    StfmRegisters,
-    check_alpha,
-    estimate_slowdown,
-)
+from repro.core.registers import StfmRegisters, check_alpha, slowdown_extremes
 from repro.dram.commands import CommandCandidate
 from repro.schedulers.base import CLASS_RANK, SchedulingPolicy
 
@@ -55,8 +54,10 @@ class StfmPolicy(SchedulingPolicy):
                 estimate.  The paper tuned gamma = 1/2 empirically for
                 its accounting; our waiting-basis accounting at DRAM
                 command granularity calibrates best at 1.0 (estimates
-                track measured slowdowns within ~20% — see the
-                ``ablate-gamma`` experiment and DESIGN.md).
+                track measured slowdowns within ~20-30% — see the
+                ``ablate-gamma`` experiment and DESIGN.md §3.10; the
+                figure is unverified until estimated-vs-measured
+                slowdown is recorded, ROADMAP item 3).
             interval_length: Register reset period in cycles.
             weights: Per-thread weights; higher weight means the thread
                 tolerates less slowdown and is prioritized sooner.
@@ -73,8 +74,11 @@ class StfmPolicy(SchedulingPolicy):
             num_threads, interval_length=interval_length, weights=weights
         )
         self.estimator: InterferenceEstimator | None = None
-        self._tshared_source: Callable[[int], int] = lambda thread_id: 0
-        self._tshared_all: Callable[[], list[int]] = lambda: [0] * num_threads
+        # Per thread, an object whose ``memory_stall_cycles`` is the
+        # thread's stall counter: the cores, once wired.
+        self._cores: Sequence = [
+            SimpleNamespace(memory_stall_cycles=0)
+        ] * num_threads
         # Bound in bind(): the controller's per-thread queued-read
         # counts (read in place each cycle) and its DRAM cycle length.
         self._queued_reads: list[int] = []
@@ -102,19 +106,17 @@ class StfmPolicy(SchedulingPolicy):
             basis=self.interference_basis,
         )
 
-    def set_tshared_source(
-        self,
-        source: Callable[[int], int],
-        counters: "Callable[[], list[int]] | None" = None,
-    ) -> None:
-        """Wire the per-thread memory-stall counters of the cores.
+    def set_stall_counters(self, cores: Sequence) -> None:
+        """Wire the cores, one per thread: each DRAM cycle reads their
+        ``memory_stall_cycles`` counters in place."""
+        self._cores = cores
 
-        ``counters``, when given, returns a new list of every thread's
-        counter in one call; each DRAM cycle reads them all.
-        """
-        self._tshared_source = source
-        threads = range(self.num_threads)
-        self._tshared_all = counters or (lambda: [source(t) for t in threads])
+    def set_tshared_source(self, source: Callable[[int], int]) -> None:
+        """Wire the stall counters through a ``thread -> counter``
+        callable, for drivers without cores."""
+        self.set_stall_counters(
+            [_SourcedCounter(source, t) for t in range(self.num_threads)]
+        )
 
     # -- system-software interface (Section 3.3) -------------------------
     def set_alpha(self, alpha: float) -> None:
@@ -132,58 +134,40 @@ class StfmPolicy(SchedulingPolicy):
     def notify_context_switch(self, thread_id: int) -> None:
         """Reset the hardware thread's registers at a context switch."""
         self.registers.context_switch(
-            thread_id, self._tshared_source(thread_id)
+            thread_id, self._cores[thread_id].memory_stall_cycles
         )
 
     # -- per-cycle decision --------------------------------------------------
     def begin_cycle(self, now: int) -> None:
         """One DRAM cycle: advance the reset interval, then decide.
 
-        The decision is one pass over the threads with queued reads,
-        reading every thread's stall counter in one call and the
-        register fields in place.  Ties on the maximum slowdown go to
-        the larger thread id.
+        The decision is one pass over the threads with queued reads
+        (:func:`~repro.core.registers.slowdown_extremes`), reading the
+        register fields and the cores' stall counters in place.  Ties on
+        the maximum slowdown go to the larger thread id.
         """
-        counters = self._tshared_all()
         self.total_cycles += 1
         registers = self.registers
         registers.interval_counter += self._dram_cycle
         if registers.interval_counter >= registers.interval_length:
-            registers.reset_interval(counters)
-        queued = self._queued_reads
-        threads = registers.threads
-        active = 0
-        s_max = s_min = 0.0
-        t_max = None
-        for t in range(self.num_threads):
-            if not queued[t]:
-                continue
-            thread = threads[t]
-            s = estimate_slowdown(
-                counters[t] - thread.tshared_offset,
-                thread.t_interference,
-                thread.weight,
+            registers.reset_interval(
+                [core.memory_stall_cycles for core in self._cores]
             )
-            if not active:
-                s_max = s_min = s
-                t_max = t
-            else:
-                if s >= s_max:
-                    s_max = s
-                    t_max = t
-                if s < s_min:
-                    s_min = s
-            active += 1
+        active, s_max, t_max, s_min = slowdown_extremes(
+            registers.threads, self._cores, self._queued_reads
+        )
         self.max_slowdown_thread = t_max
+        favored = None
         if active < 2:
             self.fairness_mode = False
             self.last_unfairness = 1.0
         else:
-            self.last_unfairness = s_max / max(s_min, 1e-9)
-            self.fairness_mode = self.last_unfairness > self.alpha
-            if self.fairness_mode:
+            unfairness = s_max / (s_min if s_min >= 1e-9 else 1e-9)
+            self.last_unfairness = unfairness
+            fair = self.fairness_mode = unfairness > self.alpha
+            if fair:
                 self.fairness_cycles += 1
-        favored = t_max if self.fairness_mode else None
+                favored = t_max
         if favored != self._favored:
             class_of = self.class_of
             if self._favored is not None:
@@ -194,7 +178,9 @@ class StfmPolicy(SchedulingPolicy):
 
     def slowdown_of(self, thread_id: int) -> float:
         """Current raw slowdown estimate of a thread (diagnostics)."""
-        return self.registers.slowdown(thread_id, self._tshared_source(thread_id))
+        return self.registers.slowdown(
+            thread_id, self._cores[thread_id].memory_stall_cycles
+        )
 
     def priority_key(self, candidate: CommandCandidate, now: int):
         """The fairness rule's order; ``select`` ranks by ``class_of``."""
@@ -217,3 +203,18 @@ class StfmPolicy(SchedulingPolicy):
         if not self.total_cycles:
             return 0.0
         return self.fairness_cycles / self.total_cycles
+
+
+class _SourcedCounter:
+    """A thread's stall counter read through a ``thread -> counter``
+    callable, in the shape of a core's ``memory_stall_cycles``."""
+
+    __slots__ = ("_source", "_thread")
+
+    def __init__(self, source: Callable[[int], int], thread: int) -> None:
+        self._source = source
+        self._thread = thread
+
+    @property
+    def memory_stall_cycles(self) -> int:
+        return self._source(self._thread)

@@ -102,11 +102,8 @@ class CmpSystem:
         # Wire STFM's Tshared source: the cores' memory-stall counters
         # (the paper communicates these with every memory request).
         cores = self.cores
-        if hasattr(policy, "set_tshared_source"):
-            policy.set_tshared_source(
-                lambda thread_id: cores[thread_id].memory_stall_cycles,
-                lambda: [core.memory_stall_cycles for core in cores],
-            )
+        if hasattr(policy, "set_stall_counters"):
+            policy.set_stall_counters(cores)
         # Sleeping cores (event kernel): core i is not stepped at ticks
         # before _wake[i]; a read of thread i being scheduled lowers it.
         self._wake = [0] * len(cores)

@@ -149,7 +149,7 @@ def test_stfm(alpha, steps):
     policy = StfmPolicy(NUM_THREADS, alpha=alpha)
     harness = bound(policy)
     counters = [0] * NUM_THREADS
-    policy.set_tshared_source(lambda t: counters[t], lambda: list(counters))
+    policy.set_tshared_source(lambda t: counters[t])
     registers = policy.registers
     for stalls, mask, fields in steps:
         for thread, (stall, share) in enumerate(stalls):

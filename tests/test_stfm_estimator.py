@@ -10,6 +10,7 @@ import pytest
 from repro.core.estimator import InterferenceEstimator
 from repro.core.registers import StfmRegisters
 from repro.core.stfm import StfmPolicy
+from repro.dram.bank import ROW_CLOSED, ROW_CONFLICT, ROW_HIT
 from repro.dram.commands import CommandCandidate, CommandKind
 from tests.conftest import ControllerHarness
 
@@ -182,6 +183,72 @@ class TestOwnThreadExtraLatency:
         cand = candidate_for(harness, 0, 2, 7, CommandKind.READ)
         estimator.on_command_issued(cand, {}, 0)
         assert registers.last_row(0, 2) == 7
+
+
+def reference_own_thread(registers, controller, request):
+    """Rule 2 as the helper chain first wrote it: outcomes classified
+    through ``service_outcome``, latencies looked up per outcome, the
+    charge and the row recorded through the register file's methods."""
+    timing = controller.timing
+
+    def outcome_latency(outcome):
+        if outcome is ROW_HIT:
+            return 0
+        if outcome is ROW_CLOSED:
+            return timing.rcd
+        return timing.rp + timing.rcd
+
+    thread = request.thread_id
+    coords = request.coords
+    global_bank = controller.queues.global_bank(coords.channel, coords.bank)
+    alone_row = registers.last_row(thread, global_bank)
+    if alone_row is None:
+        alone = ROW_CLOSED
+    elif alone_row == coords.row:
+        alone = ROW_HIT
+    else:
+        alone = ROW_CONFLICT
+    extra = outcome_latency(request.service_outcome()) - outcome_latency(alone)
+    if extra:
+        parallelism = max(1, controller.bank_access_parallelism(thread))
+        registers.add_interference(thread, extra / parallelism)
+    registers.record_row(thread, global_bank, coords.row)
+
+
+class TestOwnThreadRuleMatchesReference:
+    """The streamlined rule 2 against the helper chain, bit for bit."""
+
+    @pytest.mark.parametrize("parallelism", [0, 1, 2, 3])
+    @pytest.mark.parametrize("actual", ["hit", "closed", "conflict"])
+    @pytest.mark.parametrize("alone_row", [None, 4, 9], ids=["none", "same", "other"])
+    def test_charge_and_last_row(self, alone_row, actual, parallelism):
+        results = []
+        for streamlined in (True, False):
+            harness = ControllerHarness(
+                policy=StfmPolicy(2), num_threads=2, num_channels=2
+            )
+            policy = harness.controller.policy
+            registers = policy.registers
+            # A fraction already charged, so the addition rounds.
+            registers.threads[1].t_interference = 0.1
+            if alone_row is not None:
+                registers.record_row(1, 8 + 3, alone_row)
+            registers.record_row(1, 3, 7)  # same bank, other channel
+            harness.controller._bank_access_parallelism[1] = parallelism
+            request = harness.controller.make_request(
+                1, harness.address(3, 4, channel=1), False, 0
+            )
+            request.got_activate = actual != "hit"
+            request.got_precharge = actual == "conflict"
+            candidate = CommandCandidate(CommandKind.READ, request, 3, 0)
+            if streamlined:
+                policy.estimator._update_own_thread(candidate)
+            else:
+                reference_own_thread(registers, harness.controller, request)
+            thread = registers.threads[1]
+            results.append((thread.t_interference.hex(), dict(thread.last_row)))
+        assert results[0] == results[1]
+        assert results[0][1] == {3: 7, 11: 4}
 
 
 class TestValidation:
