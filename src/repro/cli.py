@@ -769,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--seed", type=int, default=None)
     submit_parser.add_argument(
         "--wait", action="store_true",
-        help="poll until the job finishes and print its result",
+        help="block until the job finishes and print its result (each "
+        "result request is held by the service until the job settles)",
     )
     submit_parser.add_argument(
         "--timeout", type=float, default=600.0,
@@ -849,7 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runner_parser.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="idle sleep between empty lease requests",
+        help="hold window of each lease request: the coordinator answers "
+        "as soon as a job can be granted, else with 204 when the window "
+        "ends (capped at 60 s), so a longer poll adds no latency, only "
+        "fewer empty round trips",
     )
     runner_parser.add_argument(
         "--max-jobs", type=int, default=None, metavar="N",

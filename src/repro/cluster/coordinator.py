@@ -19,9 +19,11 @@ Endpoints::
     GET  /v1/jobs/<id>               job status       200 | 404
     GET  /v1/results                 job listing      200
     GET  /v1/results/<id>            result payload   200 (terminal) | 202 | 404
+                                     (held while ``Prefer: wait=N``)
     GET  /healthz                    liveness + drain state
     GET  /metrics                    Prometheus text (version 0.0.4)
     POST /v1/leases                  lease a job      200 | 204 (none) | 400 | 503
+                                     (held while ``"wait": N``)
     POST /v1/leases/<id>/heartbeat   extend deadline  200 | 410 (lost)
     POST /v1/leases/<id>/complete    settle the job   200 | 400 | 410 (redelivered)
     GET  /v1/cluster                 topology view    200
@@ -30,6 +32,17 @@ Endpoints::
     POST /v1/store/<key>/quarantine  store proxy      204
     GET  /v1/store                   store stats      200
     POST /v1/store/prune             prune the store  200
+
+Two requests are held (long-polled), each for at most ``MAX_HOLD``
+seconds, and woken by the change they wait for, never by a timer:
+
+* a lease request with ``"wait": N`` that finds nothing to take parks
+  on :attr:`AdmissionQueue.arrival` (set by ``admit`` and ``requeue``):
+  200 once it can take a job, 204 when the window ends, 503 at once
+  when draining starts.  A runner that hangs up while parked is
+  granted nothing.
+* ``GET /v1/results/<id>`` with ``Prefer: wait=N`` (RFC 7240) parks on
+  the job's settlement event, set in ``_job_done``.
 
 Identical specs submitted while one is queued or running coalesce onto
 the same job id (cross-client dedup *above* the engine); identical
@@ -80,8 +93,12 @@ from repro.service.api import SpecError, parse_spec, spec_digest
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import AdmissionQueue, QueueFullError
 from repro.service.server import (
+    MAX_HOLD,
+    _first_of,
+    _hung_up,
     _HttpError,
     _json_response,
+    _preferred_wait,
     _read_request,
     _serialize_response,
 )
@@ -93,8 +110,10 @@ from repro.cluster.leases import Lease, LeaseTable
 _KEY_RE = re.compile(r"[A-Za-z0-9._-]{1,200}")
 
 #: A runner counts as live for affinity routing for this many lease
-#: TTLs after its last contact.
+#: TTLs after its last contact (and always while it has a request
+#: parked).
 _LIVENESS_TTLS = 3.0
+
 
 
 @dataclass(frozen=True)
@@ -142,7 +161,17 @@ class ClusterCoordinator:
         self._seq = 0
         self.queue = AdmissionQueue(config.queue_limit)
         self.draining = False
+        # Set when draining starts: run() waits on it, and parked lease
+        # requests wake on it to answer 503.
         self._stop_requested = asyncio.Event()
+        # Set just before the listener closes: held result requests
+        # wake on it.
+        self._closing = asyncio.Event()
+        # Lease requests parked per runner, and the settlement event of
+        # each job a result request is held on.
+        self._parked: dict[str, int] = {}
+        self._settled: dict[str, asyncio.Event] = {}
+        self._requests: set[asyncio.Task] = set()  # connections in progress
         self._server: "asyncio.base_events.Server | None" = None
         self.port = config.port
         # The checkpoint makes incarnation-scoped state durable: lease
@@ -407,6 +436,7 @@ class ClusterCoordinator:
         """Stop admitting, let in-process runners finish every admitted
         job, wait for active leases, then shut everything down."""
         self.draining = True
+        self._stop_requested.set()
         if self.config.workers:
             await self.queue.join()
         # Outstanding remote leases either complete (live runner) or
@@ -426,6 +456,7 @@ class ClusterCoordinator:
                 pass
         self._tasks = []
         self._save_checkpoint()
+        self._closing.set()
         if self._executor is not None:
             # wait=False: any thread still running belongs to a
             # watchdog-abandoned job — waiting for it would stall the
@@ -434,6 +465,10 @@ class ClusterCoordinator:
             self._executor = None
         if self._server is not None:
             self._server.close()
+            if self._requests:
+                # Let the requests just woken send their answers (503,
+                # the job view) before the loop can stop.
+                await asyncio.wait(self._requests, timeout=5.0)
             await self._server.wait_closed()
             self._server = None
 
@@ -523,6 +558,9 @@ class ClusterCoordinator:
         if self._active_by_digest.get(job.digest) == job_id:
             del self._active_by_digest[job.digest]
         self.state.save(job)
+        settled = self._settled.pop(job_id, None)
+        if settled is not None:
+            settled.set()
 
     async def _local_runner(self, name: str) -> None:
         """One in-process runner: lease the oldest queued job, execute
@@ -631,28 +669,29 @@ class ClusterCoordinator:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        status, headers, body = 500, {}, b""
+        task = asyncio.current_task()
+        self._requests.add(task)
+        task.add_done_callback(self._requests.discard)
+        response: "tuple[int, dict, bytes] | None" = None
         try:
             request = await _read_request(reader)
-            if request is None:
-                writer.close()
-                return
-            method, path, req_headers, req_body = request
-            status, headers, body = self._route(
-                method, path, req_headers, req_body
-            )
+            if request is not None:
+                method, path, req_headers, req_body = request
+                response = await self._route(
+                    method, path, req_headers, req_body, reader
+                )
         except _HttpError as exc:
-            status, headers, body = _json_response(
-                exc.status, {"error": exc.message}
-            )
+            response = _json_response(exc.status, {"error": exc.message})
         except Exception as exc:  # never kill the server on one request
-            status, headers, body = _json_response(
+            response = _json_response(
                 500, {"error": f"{type(exc).__name__}: {exc}"}
             )
         try:
-            self.m_http.inc(code=str(status))
-            writer.write(_serialize_response(status, headers, body))
-            await writer.drain()
+            if response is not None:
+                status, headers, body = response
+                self.m_http.inc(code=str(status))
+                writer.write(_serialize_response(status, headers, body))
+                await writer.drain()
         except (ConnectionError, OSError):
             pass
         finally:
@@ -662,9 +701,12 @@ class ClusterCoordinator:
             except (ConnectionError, OSError):
                 pass
 
-    def _route(
-        self, method: str, path: str, headers: dict, body: bytes
-    ) -> tuple[int, dict, bytes]:
+    async def _route(
+        self, method: str, path: str, headers: dict, body: bytes,
+        reader: asyncio.StreamReader,
+    ) -> "tuple[int, dict, bytes] | None":
+        """The response to one request; None sends nothing (a lease
+        request whose runner hung up)."""
         if path == "/healthz" and method == "GET":
             return _json_response(200, self._health())
         if path == "/metrics" and method == "GET":
@@ -680,11 +722,11 @@ class ClusterCoordinator:
         if path == "/v1/results" and method == "GET":
             return self._route_results_index()
         if path.startswith("/v1/results/") and method == "GET":
-            return self._route_job(
-                path[len("/v1/results/"):], with_result=True
+            return await self._route_result(
+                path[len("/v1/results/"):], headers
             )
         if path == "/v1/leases" and method == "POST":
-            return self._route_lease_request(body)
+            return await self._route_lease_request(body, reader)
         if path.startswith("/v1/leases/") and method == "POST":
             rest = path[len("/v1/leases/"):]
             lease_id, _, action = rest.partition("/")
@@ -740,6 +782,18 @@ class ClusterCoordinator:
             return _json_response(200, job.view(include_result=True))
         return _json_response(202, job.view())
 
+    async def _route_result(
+        self, job_id: str, headers: dict
+    ) -> tuple[int, dict, bytes]:
+        """``GET /v1/results/<id>``, held up to the ``Prefer: wait=N``
+        window while the job is not terminal."""
+        job = self.jobs.get(job_id)
+        hold = _preferred_wait(headers)
+        if hold > 0 and job and job.status not in jobstate.TERMINAL:
+            settled = self._settled.setdefault(job_id, asyncio.Event())
+            await _first_of(hold, settled.wait(), self._closing.wait())
+        return self._route_job(job_id, with_result=True)
+
     def _route_results_index(self) -> tuple[int, dict, bytes]:
         """``GET /v1/results``: list every known job (no payloads).
 
@@ -758,7 +812,12 @@ class ClusterCoordinator:
         return _json_response(200, {"results": listing, "count": len(listing)})
 
     # -- leases --------------------------------------------------------------
-    def _route_lease_request(self, body: bytes) -> tuple[int, dict, bytes]:
+    async def _route_lease_request(
+        self, body: bytes, reader: asyncio.StreamReader
+    ) -> "tuple[int, dict, bytes] | None":
+        """Lease a job to the requesting runner, holding the request up
+        to its ``wait`` window while there is nothing it can take.
+        None when the runner hung up while parked."""
         payload = _parse_json(body)
         runner = str(payload.get("runner") or "").strip()
         if not runner:
@@ -769,15 +828,39 @@ class ClusterCoordinator:
             capacity = max(1, int(payload.get("capacity") or 1))
         except (TypeError, ValueError):
             raise _HttpError(400, "lease 'capacity' must be an integer") from None
+        deadline = now + _hold_seconds(payload.get("wait"))
         self._runner_capacity[runner] = capacity
-        if self.draining:
-            raise _HttpError(503, "coordinator is draining; no new leases")
-        if self.leases.active_by_runner().get(runner, 0) >= capacity:
-            return 204, {}, b""  # the runner's slots are all busy
-        job_id = self.queue.try_take(chooser=self._affinity_chooser(runner))
-        if job_id is None:
-            return 204, {}, b""
-        lease = self._start_lease(job_id, runner, now)
+        while True:
+            if self.draining:
+                raise _HttpError(503, "coordinator is draining; no new leases")
+            if _hung_up(reader):
+                if self.queue.depth:
+                    # Others may have left jobs this runner owns for it.
+                    self.queue.wake_takers()
+                return None
+            job_id = None
+            if self.leases.active_by_runner().get(runner, 0) < capacity:
+                job_id = self.queue.try_take(
+                    chooser=self._affinity_chooser(runner)
+                )
+            if job_id is not None:
+                break
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return 204, {}, b""
+            self._parked[runner] = self._parked.get(runner, 0) + 1
+            try:
+                await _first_of(
+                    remaining,
+                    self.queue.arrival.wait(),
+                    self._stop_requested.wait(),
+                    reader.read(1),  # returns at EOF: the runner hung up
+                )
+            finally:
+                self._parked[runner] -= 1
+                if not self._parked[runner]:
+                    del self._parked[runner]
+        lease = self._start_lease(job_id, runner, time.monotonic())
         job = self.jobs[job_id]
         return _json_response(200, {
             "lease_id": lease.id,
@@ -850,25 +933,40 @@ class ClusterCoordinator:
         return sorted(
             runner
             for runner, seen in self._runners_seen.items()
-            if seen >= horizon
+            if seen >= horizon or runner in self._parked
         )
 
     def _affinity_chooser(self, runner: str):
+        """Pick ``runner``'s job: the oldest it owns, else the oldest
+        whose owner has no request parked with a free slot.  A parked
+        owner wakes on the same arrival and takes its job itself, so
+        with several runners parked a new job goes to its owner."""
         live = self._live_runners()
         capacities = dict(self._runner_capacity)
+        active = self.leases.active_by_runner()
+        waiting = {
+            other
+            for other in self._parked
+            if other != runner
+            and active.get(other, 0) < capacities.get(other, 1)
+        }
 
         def choose(pending):
+            owners = {}
             if len(live) > 1:
                 for job_id in pending:
                     job = self.jobs.get(job_id)
-                    if (
-                        job is not None
-                        and _owner(job.digest, live, capacities) == runner
-                    ):
+                    if job is None:
+                        continue
+                    owners[job_id] = _owner(job.digest, live, capacities)
+                    if owners[job_id] == runner:
                         return job_id
             # Work-conserving fallback: owning nothing pending never
             # means idling while work waits.
-            return pending[0] if pending else None
+            for job_id in pending:
+                if owners.get(job_id) not in waiting:
+                    return job_id
+            return None
 
         return choose
 
@@ -949,6 +1047,7 @@ class ClusterCoordinator:
                 "sims": engine.get("jobs_run", 0),
                 "cache_hits": engine.get("hits", 0),
                 "breaker_opens": self._runner_breaker_opens.get(runner, 0),
+                "parked": self._parked.get(runner, 0),
                 "last_seen_seconds": round(now - seen, 3),
                 "live": runner in self._live_runners(),
             }
@@ -1008,6 +1107,17 @@ def _owner(
         return -max(1, capacities.get(runner, 1)) / math.log(u)
 
     return max(live_runners, key=score)
+
+
+def _hold_seconds(raw: object) -> float:
+    """A lease request's ``wait`` window, clamped to [0, MAX_HOLD]."""
+    try:
+        seconds = float(raw or 0.0)
+    except (TypeError, ValueError):
+        raise _HttpError(400, "lease 'wait' must be a number") from None
+    if math.isnan(seconds):
+        raise _HttpError(400, "lease 'wait' must be a number")
+    return min(max(seconds, 0.0), MAX_HOLD)
 
 
 def _check_key(key: str) -> None:

@@ -2,9 +2,18 @@
 
 A runner is a plain blocking process — no asyncio — looping over::
 
-    POST /v1/leases                 -> a job (or 204: sleep and retry)
+    POST /v1/leases {"wait": poll}  -> a job (or 204: ask again at once)
     execute_spec(...)                  the same engine path as `serve`
     POST /v1/leases/<id>/complete   -> result or error, + engine deltas
+
+A lease request is a long poll: the coordinator holds it for up to
+``poll`` seconds (its hold window) and answers the moment a job can be
+granted, so a submitted job starts without waiting out an idle sleep,
+and a longer ``poll`` only means fewer empty round trips.  A ``204``
+says the window ended empty; the runner asks again at once.  Only a
+failed request (coordinator unreachable, breaker open, draining ``503``)
+waits before the next one, for ``poll`` or the breaker's cooldown,
+whichever is longer.
 
 While a job executes, a daemon thread heartbeats the lease every
 ``ttl / 3`` seconds.  A ``410 Gone`` heartbeat means the lease expired
@@ -35,8 +44,10 @@ land in the shared content-addressed store as they finish.  A
 redelivered job therefore resumes from cache hits — at-least-once
 delivery without duplicate simulation work.
 
-SIGTERM finishes the current job(s), reports them, and exits;
-``kill -9`` is the lease-expiry path the cluster is designed around.
+SIGTERM half-closes a parked lease request (the coordinator sees the
+runner leave and grants it nothing), finishes the current job(s),
+reports them, and exits; ``kill -9`` is the lease-expiry path the
+cluster is designed around.
 """
 
 from __future__ import annotations
@@ -70,7 +81,7 @@ class RunnerConfig:
     #: None disables the shared store.
     store: "str | None" = "proxy"
     engine_jobs: int = 1
-    poll: float = 0.5  # idle sleep between empty lease requests
+    poll: float = 0.5  # hold window of one lease request, seconds
     max_jobs: "int | None" = None  # exit after N jobs (tests, batch mode)
     capacity: int = 1  # concurrent leases this runner will hold
 
@@ -87,6 +98,11 @@ class ClusterRunner:
         self.config = config
         self.id = config.resolved_id()
         self.client = ServiceClient(config.coordinator, timeout=30.0)
+        # Lease requests only, so that stopping can hang up the parked
+        # one without cutting a heartbeat or a report short.
+        self.lease_client = ServiceClient(
+            config.coordinator, timeout=config.poll + 30.0
+        )
         self.breaker = CircuitBreaker(seed=self.id)
         if config.store == "proxy":
             self.store: "CacheStore | None" = CacheStore(
@@ -101,8 +117,10 @@ class ClusterRunner:
         self.jobs_completed = 0
 
     def request_stop(self) -> None:
-        """Signal-safe: finish the current job(s), then exit the loop."""
+        """Signal-safe: hang up a parked lease request, finish the
+        current job(s), then exit the loop."""
         self._stop.set()
+        self.lease_client.transport.close()
 
     def _job_finished(self) -> None:
         with self._count_lock:
@@ -150,16 +168,25 @@ class ClusterRunner:
                 slots.acquire()
                 if self._stop.is_set():
                     break
-                lease = self._acquire()
-                if lease is None:
-                    slots.release()
-                    self._stop.wait(self._idle_sleep())
+                reply = self._post(
+                    "/v1/leases",
+                    {
+                        "runner": self.id,
+                        "capacity": self.config.capacity,
+                        "wait": self.config.poll,
+                    },
+                    client=self.lease_client,
+                )
+                if reply and reply[0] == 200 and isinstance(reply[1], dict):
+                    leased += 1
+                    pool.submit(self._execute_guarded, reply[1], slots)
                     continue
-                leased += 1
-                pool.submit(self._execute_guarded, lease, slots)
+                slots.release()
+                if not reply or reply[0] != 204:
+                    self._stop.wait(self._idle_sleep())
 
     def _idle_sleep(self) -> float:
-        """Idle wait between lease polls: the configured poll interval,
+        """Wait after a failed lease request: the poll window,
         stretched to the breaker's cooldown while the coordinator is
         away (no tight retry loop against a dead endpoint)."""
         return max(
@@ -168,7 +195,8 @@ class ClusterRunner:
         )
 
     def _post(
-        self, path: str, body: "dict | None" = None
+        self, path: str, body: "dict | None" = None,
+        client: "ServiceClient | None" = None,
     ) -> "tuple[int, dict | str] | None":
         """One coordinator round trip through the breaker: (status,
         decoded body), or None when the breaker is open or the
@@ -176,7 +204,7 @@ class ClusterRunner:
         if not self.breaker.allow(time.monotonic()):
             return None
         try:
-            status, _headers, decoded = self.client.request(
+            status, _headers, decoded = (client or self.client).request(
                 "POST", path, body=body
             )
         except OSError:
@@ -184,17 +212,6 @@ class ClusterRunner:
             return None
         self.breaker.record_success()
         return status, decoded
-
-    def _acquire(self) -> "dict | None":
-        """One lease request; None when there is nothing to do (or the
-        coordinator is unreachable / the breaker is open)."""
-        reply = self._post(
-            "/v1/leases",
-            {"runner": self.id, "capacity": self.config.capacity},
-        )
-        if reply and reply[0] == 200 and isinstance(reply[1], dict):
-            return reply[1]
-        return None
 
     # -- execution -----------------------------------------------------------
     def _execute_guarded(

@@ -50,6 +50,7 @@ class LocalCluster:
         queue_limit: Coordinator admission-queue capacity.
         runner_store: Store location for runners; the default
             ``"proxy"`` mounts the coordinator's store over HTTP.
+        poll: Each runner's lease hold window, seconds (``--poll``).
         extra_env: Extra environment variables for every child (fault
             injection, etc.).
     """

@@ -113,6 +113,8 @@ class Core:
         self._window: deque[list] = deque()
         self._window_instrs = 0
         self._last_read: "MemoryRequest | None" = None
+        # First cycle of the stall that ended the last step.
+        self._stall_start = 0
 
         # Cumulative counters (keep growing after the budget snapshot so
         # the thread continues to exert realistic memory pressure).
@@ -130,22 +132,20 @@ class Core:
     def _fetch(self, now: int) -> bool:
         """Fill the window from the trace, submitting misses and stores.
 
-        Returns True when fetch took no compute and stopped on something
-        only this core's own reads can release: a full window, the MLP
-        cap, or a dependent load waiting on ``_last_read``.  A full read
-        or write buffer (freed by other threads' commands too) and an
-        exhausted trace return False.
+        Returns True when fetch stopped on something only this core's
+        own reads can release: a full window, the MLP cap, or a
+        dependent load waiting on ``_last_read``.  A full read or write
+        buffer (freed by other threads' commands too) and an exhausted
+        trace return False.
         """
         cursor = self.cursor
         window = self._window
         window_size = self.window_size
         instrs = self._window_instrs
         own = False
-        took_compute = False
         while instrs < window_size:
             compute_available = cursor.peek_compute()
             if compute_available:
-                took_compute = True
                 room = window_size - instrs
                 taken = cursor.take_compute(
                     room if room < compute_available else compute_available
@@ -194,17 +194,20 @@ class Core:
         else:
             own = True  # window full
         self._window_instrs = instrs
-        return own and not took_compute
+        return own
 
     # -- execute ----------------------------------------------------------
     def step(self, now: int, cycles: int) -> bool:
         """Advance the core by ``cycles`` CPU cycles starting at ``now``.
 
-        Returns True when the core stalled on memory for the whole span
-        while its fetch was blocked on its own reads (see :meth:`_fetch`).
-        Until one of those reads is scheduled or returns, every later
-        step would only add to ``memory_stall_cycles``: the event kernel
-        lets such a core sleep until :meth:`wake_tick`.
+        Returns True when the core stalled on memory through the end of
+        the span while its fetch was blocked on its own reads (see
+        :meth:`_fetch`), however late in the span the stall began.  The
+        stall commits nothing, so until one of those reads is scheduled
+        or returns, the next fetch would find the same full window or
+        the same blocked record, and every later step would only add to
+        ``memory_stall_cycles``: the event kernel lets such a core sleep
+        until :meth:`wake_tick`.
         """
         t = now
         end = now + cycles
@@ -243,21 +246,23 @@ class Core:
                     wake = end if done_at is None else min(end, done_at)
                     self.memory_stall_cycles += wake - t
                     if wake >= end:
-                        return blocked and t == now
+                        self._stall_start = t
+                        return blocked
                     t = wake
         return False
 
-    def wake_tick(self, since: int, quantum: int) -> int:
-        """The tick at which a core put to sleep by :meth:`step` at
-        ``since`` must step again: the quantum holding the earliest known
-        completion after ``since`` among its outstanding reads (``NEVER``
+    def wake_tick(self, quantum: int) -> int:
+        """The tick at which a core put to sleep by :meth:`step` must
+        step again: the quantum holding the earliest known completion
+        among its outstanding reads after the stall began (``NEVER``
         when none is scheduled yet).
 
         Any own-read completion wakes the core, whether or not it frees
         an MSHR (see :meth:`MshrFile.release_completed`).  Completions at
-        or before ``since`` were already seen by that step's fetch.
+        or before the stall's first cycle were already seen by the fetch
+        that blocked there.
         """
-        done_at = self.mshrs.earliest_completion(since)
+        done_at = self.mshrs.earliest_completion(self._stall_start)
         if done_at is None:
             return _NEVER
         return done_at - done_at % quantum

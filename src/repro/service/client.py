@@ -230,20 +230,32 @@ class ServiceClient:
         _status, _headers, decoded = self._checked("GET", "/v1/results")
         return decoded["results"]
 
-    def wait(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.1
-    ) -> dict:
-        """Poll until the job is terminal; returns its result view."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Block until the job is terminal; returns its result view.
+
+        Each ``GET /v1/results/<id>`` carries ``Prefer: wait=N``
+        (RFC 7240): the server holds it until the job settles, so the
+        result is seen as soon as it exists.  ``N`` is what is left of
+        ``timeout``, at most half the socket timeout (the server caps
+        it too); raises :class:`TimeoutError` at the deadline.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            view = self.result(job_id)
-            if view["status"] in ("done", "failed"):
-                return view
+        view = self._held_result(job_id, deadline)
+        while view["status"] not in ("done", "failed"):
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {view['status']} after {timeout}s"
                 )
-            time.sleep(poll)
+            view = self._held_result(job_id, deadline)
+        return view
+
+    def _held_result(self, job_id: str, deadline: float) -> dict:
+        hold = min(deadline - time.monotonic(), self.transport.timeout / 2)
+        _status, _headers, decoded = self._checked(
+            "GET", f"/v1/results/{job_id}",
+            headers={"Prefer": f"wait={max(0.0, hold):.3f}"},
+        )
+        return decoded
 
     def health(self) -> dict:
         _status, _headers, decoded = self._checked("GET", "/healthz")

@@ -12,7 +12,10 @@ of two consumers: its in-process runners (``stfm-sim serve``)
 ``await``\\ s :meth:`AdmissionQueue.get` for the oldest job, while a
 lease request over HTTP takes one synchronously via
 :meth:`AdmissionQueue.try_take` — which may pick a *specific* pending
-job (cache-affinity routing by spec digest), not just the head.
+job (cache-affinity routing by spec digest), not just the head.  Both
+wait on :attr:`AdmissionQueue.arrival` when there is nothing to take:
+:meth:`get` inside, a held lease request in the coordinator.  The next
+:meth:`admit` or :meth:`requeue` sets it.
 :meth:`AdmissionQueue.requeue` returns an expired lease's job to the
 front without re-counting it, so :meth:`join` still means "every
 admitted job reached a terminal state exactly once".
@@ -36,9 +39,9 @@ class QueueFullError(Exception):
 class AdmissionQueue:
     """A deque of job ids with explicit admission control.
 
-    Built on a deque plus a wake-up token queue (rather than a plain
+    Built on a deque plus an arrival event (rather than a plain
     ``asyncio.Queue``) so synchronous consumers can remove arbitrary
-    pending entries while async consumers block on :meth:`get`.
+    pending entries while async consumers wait for the next one.
     """
 
     def __init__(self, limit: int) -> None:
@@ -46,7 +49,7 @@ class AdmissionQueue:
             raise ValueError("queue limit must be at least 1")
         self.limit = limit
         self._pending: deque[str] = deque()
-        self._signal: asyncio.Queue = asyncio.Queue()
+        self._arrival = asyncio.Event()
         self._unfinished = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -87,14 +90,28 @@ class AdmissionQueue:
         self._pending.append(job_id)
         self._unfinished += 1
         self._idle.clear()
-        self._signal.put_nowait(None)
+        self.wake_takers()
 
     def requeue(self, job_id: str) -> None:
         """Put a previously-taken job back at the *front* (redelivery
         after a lease expired).  Does not re-count it: ``join`` still
         waits for exactly one completion per admission."""
         self._pending.appendleft(job_id)
-        self._signal.put_nowait(None)
+        self.wake_takers()
+
+    @property
+    def arrival(self) -> asyncio.Event:
+        """The event the next :meth:`admit`, :meth:`requeue` or
+        :meth:`wake_takers` sets.  A waiter takes it *before* it
+        awaits (``queue.arrival.wait()``), so a wake-up between its
+        last look at the queue and its wait is never lost."""
+        return self._arrival
+
+    def wake_takers(self) -> None:
+        """Wake every waiter on :attr:`arrival` to look at the queue
+        again; later waiters wait for the next wake-up."""
+        self._arrival.set()
+        self._arrival = asyncio.Event()
 
     def retry_after(self, inflight: int = 0) -> int:
         """Seconds until a queue slot plausibly frees up.
@@ -115,12 +132,9 @@ class AdmissionQueue:
 
     async def get(self) -> str:
         """Wait for (and remove) the oldest pending job id."""
-        while True:
-            await self._signal.get()
-            if self._pending:
-                return self._pending.popleft()
-            # A sync consumer stole the entry this token announced;
-            # go back to waiting.
+        while not self._pending:
+            await self._arrival.wait()
+        return self._pending.popleft()
 
     def try_take(
         self,

@@ -5,17 +5,26 @@ A deliberately small HTTP/1.1 implementation (request line + headers +
 ``asyncio.start_server`` — no ``http.server``, no threads in the
 serving path.  The routes themselves live in
 :class:`~repro.cluster.coordinator.ClusterCoordinator`, which is both
-``stfm-sim serve`` and ``stfm-sim coordinator``.
+``stfm-sim serve`` and ``stfm-sim coordinator``, and may hold a
+request: :func:`_first_of` parks it on the events it waits for.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADERS = 100
 _MAX_BODY = 8 << 20  # store-proxy entry blobs ride POST/PUT bodies too
+
+#: The longest a request is held, seconds.
+MAX_HOLD = 60.0
+
+_PREFER_WAIT_RE = re.compile(
+    r"(?:^|[,;])\s*wait\s*=\s*\"?(\d+(?:\.\d*)?)", re.IGNORECASE
+)
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 204: "No Content", 400: "Bad Request",
@@ -89,3 +98,31 @@ def _serialize_response(status: int, headers: dict, body: bytes) -> bytes:
     headers = {"Connection": "close", "Content-Length": str(len(body)), **headers}
     lines.extend(f"{name}: {value}" for name, value in headers.items())
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _preferred_wait(headers: dict) -> float:
+    """The ``Prefer: wait=N`` window (RFC 7240; a header because the
+    query string is dropped), capped at MAX_HOLD; 0 when absent or
+    malformed, as a server ignores a preference it cannot read."""
+    match = _PREFER_WAIT_RE.search(headers.get("prefer", ""))
+    return min(float(match.group(1)), MAX_HOLD) if match else 0.0
+
+
+def _hung_up(reader: asyncio.StreamReader) -> bool:
+    """The client closed its end (EOF) or the connection broke."""
+    return reader.at_eof() or reader.exception() is not None
+
+
+async def _first_of(timeout: float, *waits) -> None:
+    """Wait until one of ``waits`` finishes or ``timeout`` passes.  The
+    rest are cancelled and have unwound on return (a stream allows one
+    pending read at a time); outcomes are discarded."""
+    tasks = [asyncio.ensure_future(wait) for wait in waits]
+    try:
+        await asyncio.wait(
+            tasks, timeout=timeout, return_when=asyncio.FIRST_COMPLETED
+        )
+    finally:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)

@@ -148,8 +148,8 @@ class CmpSystem:
         This is the one simulation loop (DESIGN.md Section 3.14).  Each
         tick makes the controller's per-DRAM-cycle decision, then steps
         every core one quantum.  The *event* kernel (the default) lets a
-        core sleep: after a step that stalled the whole quantum on its
-        own reads (``Core.step`` returns True), the core is not stepped
+        core sleep: after a step that ended in a stall on its own reads
+        (``Core.step`` returns True), the core is not stepped
         again before ``Core.wake_tick``, lowered by ``_wake_on_read``
         when one of its reads is scheduled, and accrues the quantum's
         stall cycles directly, so every counter stays exact on every
@@ -185,7 +185,7 @@ class CmpSystem:
                     continue
                 steps += 1
                 if core.step(now, quantum) and sleeps:
-                    wake[i] = core.wake_tick(now, quantum)
+                    wake[i] = core.wake_tick(quantum)
             now += quantum
             if self._finished >= num_cores:
                 break

@@ -325,6 +325,168 @@ class TestBitIdentical:
             assert sanitizer.settled  # and at least one settled cleanly
 
 
+# -- held requests (long polls) ----------------------------------------------
+
+
+def _lease_in_thread(url: str, body: dict) -> "tuple[threading.Thread, dict]":
+    """POST a lease request from a thread; the dict gets its status,
+    body and arrival time."""
+    outcome: dict = {}
+
+    def run() -> None:
+        status, _, lease = ServiceClient(url).request(
+            "POST", "/v1/leases", body=body
+        )
+        outcome.update(status=status, lease=lease, at=time.monotonic())
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _await_parked(client: ServiceClient, runner: str, timeout=30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        _, _, topo = client.request("GET", "/v1/cluster")
+        if topo["runners"].get(runner, {}).get("parked", 0):
+            return
+        time.sleep(0.01)
+    pytest.fail(f"{runner} never parked a lease request")
+
+
+def _seed_owned_by(owner: str, runners: list) -> int:
+    """A seed whose ``_spec`` the rendezvous router gives ``owner``."""
+    from repro.service.api import parse_spec, spec_digest
+
+    return next(
+        seed for seed in range(1, 200)
+        if _owner(spec_digest(parse_spec(_spec(seed))), runners) == owner
+    )
+
+
+class TestHeldRequests:
+    def test_parked_lease_is_granted_at_once_on_submit(self, tmp_path):
+        with running_coordinator(tmp_path) as (service, client):
+            url = f"http://127.0.0.1:{service.port}"
+            thread, outcome = _lease_in_thread(
+                url, {"runner": "r-park", "wait": 20}
+            )
+            _await_parked(client, "r-park")
+            view = client.submit(_spec(1))
+            submitted = time.monotonic()
+            thread.join(10)
+            assert not thread.is_alive()
+            assert outcome["status"] == 200
+            assert outcome["lease"]["job_id"] == view["id"]
+            assert outcome["at"] - submitted < 0.05
+            client.request(
+                "POST",
+                f"/v1/leases/{outcome['lease']['lease_id']}/complete",
+                body={"runner": "r-park", "result": {"fake": True}},
+            )
+
+    def test_parked_lease_204s_when_its_window_ends(self, tmp_path):
+        with running_coordinator(tmp_path) as (service, client):
+            started = time.monotonic()
+            status, _, _ = client.request(
+                "POST", "/v1/leases", body={"runner": "r-idle", "wait": 0.3}
+            )
+            elapsed = time.monotonic() - started
+            assert status == 204
+            assert 0.3 <= elapsed < 1.5
+
+    def test_parked_lease_503s_at_once_on_drain(self, tmp_path):
+        with running_coordinator(tmp_path) as (service, client):
+            url = f"http://127.0.0.1:{service.port}"
+            thread, outcome = _lease_in_thread(
+                url, {"runner": "r-drain", "wait": 20}
+            )
+            _await_parked(client, "r-drain")
+            asked = time.monotonic()
+        # Leaving the block drains the coordinator.
+        thread.join(10)
+        assert not thread.is_alive()
+        assert outcome["status"] == 503
+        assert outcome["at"] - asked < 0.5
+
+    def test_malformed_wait_is_a_400(self, tmp_path):
+        with running_coordinator(tmp_path) as (_service, client):
+            status, _, _ = client.request(
+                "POST", "/v1/leases", body={"runner": "r-bad", "wait": "soon"}
+            )
+            assert status == 400
+
+    def test_new_job_goes_to_its_parked_owner(self, tmp_path):
+        """With three runners parked, the job goes to its rendezvous
+        owner, even though the owner parked last."""
+        runners = ["r-a", "r-b", "r-c"]
+        seed = _seed_owned_by("r-c", runners)
+        with running_coordinator(tmp_path) as (service, client):
+            url = f"http://127.0.0.1:{service.port}"
+            outcomes = {}
+            threads = {}
+            for runner in runners:
+                threads[runner], outcomes[runner] = _lease_in_thread(
+                    url, {"runner": runner, "wait": 20}
+                )
+                _await_parked(client, runner)
+            view = client.submit(_spec(seed))
+            threads["r-c"].join(10)
+            assert not threads["r-c"].is_alive()
+            lease = outcomes["r-c"]["lease"]
+            assert lease["job_id"] == view["id"]
+            client.request(
+                "POST", f"/v1/leases/{lease['lease_id']}/complete",
+                body={"runner": "r-c", "result": {"fake": True}},
+            )
+        # Leaving the block drains the coordinator: the others get 503.
+        for thread in threads.values():
+            thread.join(10)
+            assert not thread.is_alive()
+        assert {r: o["status"] for r, o in outcomes.items()} == {
+            "r-a": 503, "r-b": 503, "r-c": 200,
+        }
+
+    def test_wait_returns_at_once_on_settlement(self, tmp_path):
+        with running_coordinator(tmp_path) as (service, client):
+            view = client.submit(_spec(1))
+            _, _, lease = client.request(
+                "POST", "/v1/leases", body={"runner": "r-test"}
+            )
+            outcome: dict = {}
+
+            def wait() -> None:
+                outcome["view"] = ServiceClient(
+                    f"http://127.0.0.1:{service.port}"
+                ).wait(view["id"], timeout=30)
+                outcome["at"] = time.monotonic()
+
+            thread = threading.Thread(target=wait, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 10
+            while view["id"] not in service._settled:
+                assert time.monotonic() < deadline, "wait() never held"
+                time.sleep(0.01)
+            client.request(
+                "POST", f"/v1/leases/{lease['lease_id']}/complete",
+                body={"runner": "r-test", "result": {"fake": True}},
+            )
+            settled = time.monotonic()
+            thread.join(10)
+            assert not thread.is_alive()
+            assert outcome["view"]["status"] == "done"
+            assert outcome["view"]["result"] == {"fake": True}
+            assert outcome["at"] - settled < 0.05
+
+    def test_wait_still_times_out_at_its_deadline(self, tmp_path):
+        with running_coordinator(tmp_path) as (_service, client):
+            view = client.submit(_spec(1))  # never leased
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(view["id"], timeout=0.5)
+            assert 0.5 <= time.monotonic() - started < 1.5
+
+
 # -- subprocess smoke --------------------------------------------------------
 
 
@@ -368,6 +530,55 @@ class TestSubprocessCluster:
             redelivered = [v for v in done if v.get("attempts", 1) >= 2]
             assert redelivered
             assert all(v["runner"] == "runner-1" for v in redelivered)
+
+    def test_stopping_a_parked_runner_is_prompt(self, tmp_path):
+        """SIGTERM hangs up the parked lease request: the runner exits
+        well inside its 30 s window, and the coordinator grants the
+        gone request nothing."""
+        cluster = LocalCluster(
+            runners=1,
+            cache_dir=str(tmp_path / "cache"),
+            state_dir=str(tmp_path / "state"),
+            poll=30.0,
+        )
+        with cluster:
+            client = ServiceClient(cluster.url)
+            _await_parked(client, "runner-0")
+            runner = cluster.runner_procs[0]
+            started = time.monotonic()
+            runner.terminate()
+            assert runner.wait(timeout=10) == 0
+            assert time.monotonic() - started < 3.0
+            _, _, topo = client.request("GET", "/v1/cluster")
+            assert topo["runners"]["runner-0"]["parked"] == 0
+            view = client.submit(_spec(1))
+            assert client.job(view["id"])["status"] == "queued"
+
+    def test_job_after_a_parked_runner_dies_goes_to_a_live_one(
+        self, tmp_path
+    ):
+        """``kill -9`` on a parked runner strands nothing: a job it
+        owns, submitted after the kill, runs on the survivor at once,
+        long before the 30 s lease TTL could expire anything."""
+        cluster = LocalCluster(
+            runners=2,
+            cache_dir=str(tmp_path / "cache"),
+            state_dir=str(tmp_path / "state"),
+            lease_ttl=30.0,
+            poll=30.0,
+        )
+        with cluster:
+            client = ServiceClient(cluster.url)
+            for index in range(2):
+                _await_parked(client, f"runner-{index}")
+            cluster.kill_runner(0)
+            seed = _seed_owned_by("runner-0", ["runner-0", "runner-1"])
+            done = client.wait(client.submit(_spec(seed))["id"], timeout=20)
+            assert done["status"] == "done"
+            assert done["runner"] == "runner-1"
+            assert done["attempts"] == 1
+            metrics = parse_metrics(client.metrics())
+            assert metrics["stfm_cluster_lease_expirations_total"] == 0
 
     def test_submit_storm_three_runners_zero_duplicate_sims(self, tmp_path):
         """Saturating storm onto a 3-runner cluster: every job lands,
