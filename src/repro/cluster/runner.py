@@ -70,6 +70,11 @@ from repro.service.client import ServiceClient
 from repro.service.workers import execute_spec
 
 
+#: Seconds a completion is retried against an unreachable coordinator
+#: before the runner relies on lease-expiry redelivery.
+REPORT_WINDOW = 10.0
+
+
 @dataclass(frozen=True)
 class RunnerConfig:
     """Everything ``stfm-sim runner`` needs."""
@@ -306,11 +311,13 @@ class ClusterRunner:
         by its backoff), then the result is dropped: lease expiry
         redelivers the job, and the shared store already holds the
         sub-job results."""
-        deadline = time.monotonic() + 10.0
+        deadline = time.monotonic() + REPORT_WINDOW
         while time.monotonic() < deadline:
             if self._post(f"/v1/leases/{lease_id}/complete", body):
                 return
-            self._stop.wait(
+            # A sleep, not ``_stop.wait``: a stopping runner still
+            # reports, and ``_stop`` is set then.
+            time.sleep(
                 min(self.breaker.seconds_until_probe(time.monotonic()), 0.5)
                 or 0.05
             )

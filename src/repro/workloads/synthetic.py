@@ -26,8 +26,9 @@ mirroring multiprogrammed workloads that share no data.
 from __future__ import annotations
 
 import random
+from array import array
 
-from repro.cpu.trace import Trace, TraceRecord
+from repro.cpu.trace import ADDRESS_TYPE, COMPUTE_TYPE, DEPENDENT, WRITE, Trace
 from repro.dram.address import AddressMapper
 from repro.workloads.spec2006 import BenchmarkSpec
 
@@ -78,7 +79,9 @@ class SyntheticTraceGenerator:
             spec, mapper, rng, row_base, row_limit, focus_banks
         )
 
-        records: list[TraceRecord] = []
+        computes = array(COMPUTE_TYPE)
+        addresses = array(ADDRESS_TYPE)
+        flags = bytearray()
         reads_emitted = 0
         first_burst = True
         while reads_emitted < num_reads:
@@ -103,26 +106,15 @@ class SyntheticTraceGenerator:
                         first_burst = False
                 else:
                     compute = _sample_gap(rng, gap_mean)
-                address = stream.next_address()
-                dependent = rng.random() < spec.dependence
-                records.append(
-                    TraceRecord(
-                        compute=compute,
-                        is_write=False,
-                        address=address,
-                        dependent=dependent,
-                    )
-                )
+                computes.append(compute)
+                addresses.append(stream.next_address())
+                flags.append(DEPENDENT if rng.random() < spec.dependence else 0)
                 reads_emitted += 1
                 if rng.random() < spec.write_fraction:
-                    records.append(
-                        TraceRecord(
-                            compute=0,
-                            is_write=True,
-                            address=stream.writeback_address(),
-                        )
-                    )
-        return Trace(records)
+                    computes.append(0)
+                    addresses.append(stream.writeback_address())
+                    flags.append(WRITE)
+        return Trace.from_columns(computes, addresses, bytes(flags))
 
 
 class _AddressStream:

@@ -28,6 +28,7 @@ from repro.cluster.coordinator import (
     _owner,
 )
 from repro.cluster.leases import LeaseTable
+from repro.cluster import runner as runner_module
 from repro.cluster.runner import ClusterRunner, RunnerConfig
 from repro.cluster.supervisor import LocalCluster
 from repro.service.client import ServiceClient, parse_metrics
@@ -255,6 +256,24 @@ class TestLeaseProtocol:
                 metrics['stfm_cluster_runner_sims_total{runner="r-embedded"}']
                 == 6  # 2 jobs x (2 run-alone + 1 shared)
             )
+
+    def test_stopping_runner_paces_its_report_retries(self, monkeypatch):
+        """A stopped runner reporting to an unreachable coordinator
+        still waits between attempts instead of spinning."""
+        monkeypatch.setattr(runner_module, "REPORT_WINDOW", 1.0)
+        runner = ClusterRunner(RunnerConfig(
+            coordinator="http://127.0.0.1:1", runner_id="r-stopping",
+            store=None,
+        ))
+        runner.request_stop()
+        posts = []
+        post = runner._post
+        monkeypatch.setattr(
+            runner, "_post", lambda *args: posts.append(args) or post(*args)
+        )
+        runner._report("lease-1", {"runner": "r-stopping"})
+        # One attempt per 50 ms at most, the shortest pause.
+        assert 1 <= len(posts) <= 21
 
 
 class TestBitIdentical:

@@ -1,8 +1,15 @@
 """Tests for traces and the streaming trace cursor."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cpu.trace import Trace, TraceCursor, TraceRecord
+from repro.engine.jobs import budget_for
+from repro.experiments.base import SCALES
+from repro.sim.config import SystemConfig
+from repro.workloads.spec2006 import SPEC2006
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 def simple_trace(loop=True) -> Trace:
@@ -35,6 +42,28 @@ class TestTrace:
     def test_negative_compute_rejected(self):
         with pytest.raises(ValueError):
             Trace([TraceRecord(-1, False, 0)])
+
+    def test_compute_too_large_for_its_column_rejected(self):
+        with pytest.raises(ValueError):
+            Trace([TraceRecord(2**32, False, 0)])
+
+    def test_address_too_large_for_its_column_rejected(self):
+        with pytest.raises(ValueError):
+            Trace([TraceRecord(0, False, 2**64)])
+
+    def test_negative_address_rejected(self):
+        with pytest.raises(ValueError):
+            Trace([TraceRecord(0, True, -64)])
+
+    def test_records_round_trip(self):
+        records = simple_trace().records
+        assert records == [
+            TraceRecord(10, False, 0x1000, False),
+            TraceRecord(0, True, 0x2000, False),
+            TraceRecord(5, False, 0x3000, True),
+        ]
+        assert Trace(records).records == records
+        assert list(Trace(records)) == records
 
     def test_empty_trace(self):
         trace = Trace([])
@@ -81,3 +110,70 @@ class TestTraceCursor:
     def test_empty_trace_exhausted_immediately(self):
         cursor = TraceCursor(Trace([]))
         assert cursor.exhausted
+
+
+def mcf_trace() -> Trace:
+    spec = SPEC2006["mcf"]
+    generator = SyntheticTraceGenerator(SystemConfig().mapper(), 1)
+    return generator.trace_for(spec, budget_for(spec, SCALES["small"].budget))
+
+
+def cursor_stream(trace: Trace, passes: int, chunk: int) -> list[TraceRecord]:
+    """The records a cursor yields over up to ``passes`` passes, taking
+    compute ``chunk`` instructions at a time as the core does."""
+    cursor = TraceCursor(trace)
+    stream = []
+    while not cursor.exhausted and cursor.passes < passes:
+        compute = 0
+        while cursor.peek_compute():
+            assert cursor.peek_memory() is None
+            compute += cursor.take_compute(chunk)
+        record = cursor.peek_memory()
+        stream.append(
+            TraceRecord(compute, record.is_write, record.address, record.dependent)
+        )
+        cursor.take_memory()
+    assert cursor.peek_memory() is None or cursor.passes == passes
+    return stream
+
+
+class TestCursorMatchesRecords:
+    """Stepping a cursor gives the same stream as ``Trace.records``."""
+
+    @pytest.mark.parametrize("loop", [True, False])
+    @pytest.mark.parametrize(
+        "records",
+        [
+            mcf_trace().records,
+            simple_trace().records,
+            [TraceRecord(7, False, 0x40, True)],
+            [],
+        ],
+        ids=["generated", "three", "one", "empty"],
+    )
+    def test_stream(self, records, loop):
+        trace = Trace(records, loop=loop)
+        passes = 3 if loop else 1
+        for chunk in (1, 3, 128):
+            assert cursor_stream(trace, 3, chunk) == records * passes
+
+    def test_generated_trace_loops(self):
+        trace = mcf_trace()
+        assert trace.loop
+        assert cursor_stream(trace, 2, 5) == trace.records * 2
+
+
+def test_trace_keeps_at_most_32_bytes_per_record():
+    """A generated trace holds its columns, not one object per record."""
+    spec = SPEC2006["mcf"]
+    generator = SyntheticTraceGenerator(SystemConfig().mapper(), 1)
+    budget = budget_for(spec, SCALES["small"].budget)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = generator.trace_for(spec, budget)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 1000
+    assert kept <= 32 * len(trace)
