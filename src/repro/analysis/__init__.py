@@ -2,11 +2,11 @@
 
 Result analysis (paper vs. measurement):
 
-* :mod:`repro.analysis.paper_data` — the reference values transcribed
-  from the paper's figures and tables.
-* :mod:`repro.analysis.compare` — shape checks: policy orderings,
-  trends, who-wins agreements between paper and measurement.
-* :mod:`repro.analysis.report` — generates the EXPERIMENTS.md
+* :mod:`repro.analysis.compare` — the verdicts shape predicates
+  return: policy orderings, trends, who-wins agreements between paper
+  and measurement.  The paper's values and the predicates themselves
+  are declared by each experiment (:mod:`repro.experiments`).
+* :mod:`repro.analysis.report` — renders the EXPERIMENTS.md
   paper-vs-measured report from a results JSON
   (``stfm-sim run all --json results.json`` then
   ``stfm-sim report results.json``).

@@ -8,6 +8,12 @@ absolute numbers, agreement is defined over *shapes*:
   does the measurement order them the same way?),
 * trends (does FR-FCFS unfairness fall with more banks, rise with
   bigger row buffers, while STFM stays flat?).
+
+Each experiment declares its shapes as named predicates over its rows
+(:class:`repro.experiments.base.Experiment`); the helpers here are what
+those predicates return.  Every result has ``holds`` and a signed
+``margin`` (positive when the shape holds, in the shape's own relative
+units), so a caller can count and rank verdicts without reading text.
 """
 
 from __future__ import annotations
@@ -17,8 +23,27 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """Whether a shape holds, and by how much."""
+
+    holds: bool
+    margin: float
+
+
+@dataclass(frozen=True)
+class Trend(Verdict):
+    """A trend verdict, with the direction the values actually took."""
+
+    direction: str
+
+
+@dataclass(frozen=True)
 class OrderingCheck:
-    """Result of the pairwise-ordering comparison."""
+    """Result of the pairwise-ordering comparison.
+
+    Reads as a verdict: it holds when no compared pair disagrees, and
+    its margin is ``score - 1``.
+    """
 
     agreements: int
     comparisons: int
@@ -29,6 +54,14 @@ class OrderingCheck:
         if not self.comparisons:
             return 1.0
         return self.agreements / self.comparisons
+
+    @property
+    def holds(self) -> bool:
+        return not self.disagreements
+
+    @property
+    def margin(self) -> float:
+        return self.score - 1.0
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"{self.agreements}/{self.comparisons} pairwise orderings"
@@ -43,7 +76,8 @@ def ordering_agreement(
 
     Pairs whose paper values differ by less than ``tolerance`` (relative)
     are treated as ties and skipped — the paper's own bars are not
-    meaningfully ordered there.
+    meaningfully ordered there.  Pairs the measurement ties exactly are
+    skipped too: they order neither way, so they cannot agree.
     """
     keys = [
         k for k, v in paper.items() if v is not None and k in measured
@@ -55,6 +89,8 @@ def ordering_agreement(
         paper_a, paper_b = paper[a], paper[b]
         if abs(paper_a - paper_b) <= tolerance * max(paper_a, paper_b):
             continue
+        if measured[a] == measured[b]:
+            continue
         comparisons += 1
         paper_says_a_higher = paper_a > paper_b
         measured_says_a_higher = measured[a] > measured[b]
@@ -65,11 +101,18 @@ def ordering_agreement(
     return OrderingCheck(agreements, comparisons, tuple(disagreements))
 
 
-def stfm_is_best(measured: dict[str, float], key: str = "STFM") -> bool:
-    """Whether STFM has the lowest (best) value among the schedulers."""
+def below(value: float, bound: float, strict: bool = True) -> Verdict:
+    """Whether ``value`` is below ``bound``; the margin is ``1 - value/bound``."""
+    holds = value < bound if strict else value <= bound
+    return Verdict(holds, 1.0 - value / bound)
+
+
+def lowest(measured: dict[str, float], key: str) -> Verdict:
+    """Whether ``key`` has the lowest value; a tie counts as lowest."""
     if key not in measured:
         raise KeyError(f"{key!r} missing from measurement")
-    return measured[key] == min(measured.values())
+    others = [v for k, v in measured.items() if k != key]
+    return below(measured[key], min(others), strict=False)
 
 
 def trend_direction(values: list[float], tolerance: float = 0.02) -> str:
@@ -92,9 +135,20 @@ def trend_direction(values: list[float], tolerance: float = 0.02) -> str:
     return "mixed"
 
 
-def spread(values: dict[str, float | None]) -> float:
-    """max/min over the non-None values (the unfairness-style spread)."""
-    present = [v for v in values.values() if v is not None]
-    if not present:
-        raise ValueError("no values")
-    return max(present) / min(present)
+def trend(values: list[float], expected: str, tolerance: float = 0.02) -> Trend:
+    """Whether ``values`` move in the ``expected`` direction
+    ('increasing' or 'decreasing').
+
+    The margin is the tighter of the two conditions, in relative change
+    per step: the largest step in the expected direction must exceed
+    ``tolerance``, and no step may go against it by more than that.
+    """
+    sign = 1.0 if expected == "increasing" else -1.0
+    steps = [
+        sign * (later / earlier - 1.0)
+        for earlier, later in zip(values, values[1:])
+    ]
+    margin = min(max(steps, default=0.0) - tolerance,
+                 min(steps, default=0.0) + tolerance)
+    direction = trend_direction(values, tolerance)
+    return Trend(direction == expected, margin, direction)

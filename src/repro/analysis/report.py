@@ -3,44 +3,16 @@
 ``generate_report`` consumes the structured results produced by
 ``stfm-sim run all --json results.json`` and renders a markdown report
 with, per figure/table: the paper's reference numbers, the measured
-numbers, and the shape checks of :mod:`repro.analysis.compare`.
+numbers, and the verdicts of the experiment's shapes.  The paper's
+values and the shapes are declared by each experiment
+(:class:`repro.experiments.base.Experiment`); this module only renders
+them.
 """
 
 from __future__ import annotations
 
-from repro.analysis import paper_data
-from repro.analysis.compare import (
-    ordering_agreement,
-    spread,
-    stfm_is_best,
-    trend_direction,
-)
-
-_POLICY_KEYS = {
-    "FR-FCFS": "fr-fcfs",
-    "FCFS": "fcfs",
-    "FR-FCFS+Cap": "fr-fcfs+cap",
-    "NFQ": "nfq",
-    "STFM": "stfm",
-}
-
-_CASE_STUDIES = {
-    "fig6": "Case study I: memory-intensive 4-core workload",
-    "fig7": "Case study II: mixed 4-core workload",
-    "fig8": "Case study III: non-intensive 4-core workload",
-    "fig10": "Non-intensive 8-core workload",
-    "fig13": "Desktop 4-core workload",
-}
-
-_SWEEPS = {
-    "fig9": "4-core sweep (GMEAN unfairness)",
-    "fig11": "8-core sweep (GMEAN unfairness)",
-    "fig12": "16-core workloads (GMEAN unfairness)",
-}
-
-
-def _by_id(results: list[dict]) -> dict[str, dict]:
-    return {r["experiment_id"]: r for r in results}
+from repro.experiments import EXPERIMENTS
+from repro.experiments.table5 import point_label
 
 
 def _fmt(value) -> str:
@@ -51,285 +23,215 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _case_study_unfairness(result: dict) -> dict[str, float]:
-    return {row["policy"]: row["unfairness"] for row in result["rows"]}
+def _yes(verdict) -> str:
+    return f"**{'yes' if verdict.holds else 'no'}**"
 
 
-def _sweep_gmean_unfairness(result: dict) -> dict[str, float]:
-    gmean_row = next(
-        row for row in result["rows"] if row.get("workload") == "GMEAN"
-    )
-    measured = {}
-    for display, key in _POLICY_KEYS.items():
-        value = gmean_row.get(f"unfairness:{key}")
-        if value is not None:
-            measured[display] = value
-    return measured
+def _spread(values: dict) -> float:
+    """max/min over the values present (the unfairness-style spread)."""
+    present = [v for v in values.values() if v is not None]
+    return max(present) / min(present)
 
 
-def _unfairness_section(
-    experiment_id: str, title: str, measured: dict[str, float]
-) -> list[str]:
-    paper = paper_data.PAPER_UNFAIRNESS[experiment_id]
-    lines = [f"### {experiment_id}: {title}", ""]
-    lines.append("| scheduler | paper unfairness | measured |")
-    lines.append("|---|---|---|")
-    for policy in paper_data.POLICY_ORDER:
-        lines.append(
-            f"| {policy} | {_fmt(paper.get(policy))} | "
-            f"{_fmt(measured.get(policy))} |"
-        )
-    check = ordering_agreement(paper, measured)
-    verdicts = [
-        f"STFM fairest: **{'yes' if stfm_is_best(measured) else 'no'}**",
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+    return [
+        "| " + " | ".join(header) + " |",
+        "|" + "---|" * len(header),
+        *("| " + " | ".join(cells) + " |" for cells in rows),
+    ]
+
+
+def _section(result: dict, table: list[str], bullets: list[str]) -> list[str]:
+    lines = [f"### {result['experiment_id']}: {result['title']}", ""]
+    if table:
+        lines += table + [""]
+    return lines + [f"- {bullet}" for bullet in bullets] + [""]
+
+
+def _unfairness_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    paper = experiment.paper
+    measured = experiment.measured(result["rows"])
+    check = verdicts["orders_like_paper"]
+    bullets = [
+        f"STFM fairest: {_yes(verdicts['stfm_fairest'])}",
         f"pairwise ordering agreement with the paper: **{check}**",
-        (
-            f"unfairness spread (worst/best scheduler): paper "
-            f"{_fmt(spread(paper))}, measured {_fmt(spread(measured))}"
-        ),
+        f"unfairness spread (worst/best scheduler): paper "
+        f"{_fmt(_spread(paper))}, measured {_fmt(_spread(measured))}",
     ]
     if check.disagreements:
         pairs = ", ".join(f"{a} vs {b}" for a, b in check.disagreements)
-        verdicts.append(f"disagreeing pairs: {pairs}")
-    lines.append("")
-    lines.extend(f"- {v}" for v in verdicts)
-    lines.append("")
-    return lines
+        bullets.append(f"disagreeing pairs: {pairs}")
+    table = _table(
+        ["scheduler", "paper unfairness", "measured"],
+        [[p, _fmt(v), _fmt(measured.get(p))] for p, v in paper.items()],
+    )
+    return _section(result, table, bullets)
 
 
-def _fig1_section(result: dict) -> list[str]:
-    lines = ["### fig1: FR-FCFS slowdowns (motivation)", ""]
-    for cores in (4, 8):
-        rows = [r for r in result["rows"] if r["cores"] == cores]
-        slowdowns = {r["benchmark"]: r["memory_slowdown"] for r in rows}
+def _fig1_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    bullets = []
+    for cores, paper in experiment.paper.items():
+        slowdowns = {
+            r["benchmark"]: r["memory_slowdown"]
+            for r in result["rows"] if r["cores"] == cores
+        }
         most = max(slowdowns, key=slowdowns.get)
         least = min(slowdowns, key=slowdowns.get)
-        paper = paper_data.PAPER_FIG1[cores]
-        lines.append(
-            f"- {cores}-core: paper {paper['most_slowed'][0]} "
+        verdict = verdicts[f"libquantum_least_slowed_{cores}core"]
+        bullets.append(
+            f"{cores}-core: paper {paper['most_slowed'][0]} "
             f"{paper['most_slowed'][1]:.2f}x vs {paper['least_slowed'][0]} "
             f"{paper['least_slowed'][1]:.2f}x; measured {most} "
             f"{slowdowns[most]:.2f}x vs {least} {slowdowns[least]:.2f}x "
-            f"(libquantum least-slowed: "
-            f"**{'yes' if least == 'libquantum' else 'no'}**)"
+            f"(libquantum least-slowed: {_yes(verdict)})"
         )
-    lines.append("")
-    return lines
+    return _section(result, [], bullets)
 
 
-def _fig5_section(result: dict) -> list[str]:
+def _fig5_section(result: dict, experiment, verdicts: dict) -> list[str]:
     summary = next(r for r in result["rows"] if r.get("partner") == "GMEAN")
-    paper = paper_data.PAPER_FIG5
-    lines = ["### fig5: 2-core mcf pairs, FR-FCFS vs STFM", ""]
-    lines.append("| metric | paper | measured |")
-    lines.append("|---|---|---|")
-    lines.append(
-        f"| GMEAN unfairness FR-FCFS | {paper['frfcfs_gmean_unfairness']:.2f} "
-        f"| {summary['frfcfs_unfairness']:.2f} |"
-    )
-    lines.append(
-        f"| GMEAN unfairness STFM | {paper['stfm_gmean_unfairness']:.2f} "
-        f"| {summary['stfm_unfairness']:.2f} |"
-    )
-    lines.append(
-        f"| max STFM unfairness | {paper['stfm_max_unfairness']:.2f} "
-        f"| {summary['stfm_max_unfairness']:.2f} |"
-    )
-    lines.append(
-        f"| weighted-speedup gain | x{paper['weighted_speedup_gain']:.3f} "
-        f"| x{summary['ws_gain']:.3f} |"
-    )
-    improved = summary["stfm_unfairness"] < summary["frfcfs_unfairness"]
-    lines.append("")
-    lines.append(
-        f"- STFM reduces pairwise unfairness: **{'yes' if improved else 'no'}**"
-    )
-    lines.append("")
-    return lines
+    paper = experiment.paper
+    table = _table(["metric", "paper", "measured"], [
+        ["GMEAN unfairness FR-FCFS", f"{paper['frfcfs_gmean_unfairness']:.2f}",
+         f"{summary['frfcfs_unfairness']:.2f}"],
+        ["GMEAN unfairness STFM", f"{paper['stfm_gmean_unfairness']:.2f}",
+         f"{summary['stfm_unfairness']:.2f}"],
+        ["max STFM unfairness", f"{paper['stfm_max_unfairness']:.2f}",
+         f"{summary['stfm_max_unfairness']:.2f}"],
+        ["weighted-speedup gain", f"x{paper['weighted_speedup_gain']:.3f}",
+         f"x{summary['ws_gain']:.3f}"],
+    ])
+    return _section(result, table, [
+        "STFM reduces pairwise unfairness: "
+        f"{_yes(verdicts['stfm_reduces_unfairness'])}"
+    ])
 
 
-def _fig14_section(result: dict) -> list[str]:
-    lines = ["### fig14: thread weights (equal-priority unfairness)", ""]
-    lines.append("| weights | scheme | paper | measured |")
-    lines.append("|---|---|---|---|")
-    for row in result["rows"]:
-        weights = tuple(int(w) for w in row["weights"])
-        scheme = row["scheme"]
-        paper_value = paper_data.PAPER_FIG14.get(weights, {}).get(scheme)
-        lines.append(
-            f"| {'-'.join(str(w) for w in weights)} | {scheme} | "
-            f"{_fmt(paper_value)} | {row['equal_priority_unfairness']:.2f} |"
-        )
-    by_weights: dict[tuple, dict[str, float]] = {}
-    for row in result["rows"]:
-        weights = tuple(int(w) for w in row["weights"])
-        by_weights.setdefault(weights, {})[row["scheme"]] = row[
-            "equal_priority_unfairness"
+def _fig14_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    table = _table(["weights", "scheme", "paper", "measured"], [
+        [
+            "-".join(str(int(w)) for w in row["weights"]),
+            row["scheme"],
+            _fmt(experiment.paper.get(tuple(row["weights"]), {}).get(row["scheme"])),
+            f"{row['equal_priority_unfairness']:.2f}",
         ]
-    agreements = all(
-        values.get("STFM-weights", 99) < values.get("NFQ-shares", 0)
-        for values in by_weights.values()
-        if "STFM-weights" in values and "NFQ-shares" in values
-    )
-    lines.append("")
-    lines.append(
-        "- STFM keeps equal-weight threads fairer than NFQ shares: "
-        f"**{'yes' if agreements else 'no'}**"
-    )
-    lines.append("")
-    return lines
+        for row in result["rows"]
+    ])
+    return _section(result, table, [
+        "STFM keeps equal-weight threads fairer than NFQ shares: "
+        f"{_yes(verdicts['stfm_keeps_equal_weights_fairer'])}"
+    ])
 
 
-def _fig15_section(result: dict) -> list[str]:
-    rows = [r for r in result["rows"] if r.get("alpha") is not None]
-    reference = next(r for r in result["rows"] if r.get("alpha") is None)
-    lines = ["### fig15: alpha sweep", ""]
-    lines.append("| alpha | unfairness | weighted speedup |")
-    lines.append("|---|---|---|")
-    for row in rows:
-        lines.append(
-            f"| {row['alpha']} | {row['unfairness']:.2f} | "
-            f"{row['weighted_speedup']:.2f} |"
-        )
-    lines.append(
-        f"| FR-FCFS | {reference['unfairness']:.2f} | "
-        f"{reference['weighted_speedup']:.2f} |"
-    )
-    unfairness_trend = trend_direction([r["unfairness"] for r in rows])
-    big_alpha = rows[-1]
-    converges = (
-        abs(big_alpha["unfairness"] - reference["unfairness"])
-        <= 0.35 * reference["unfairness"]
-    )
-    lines.append("")
-    lines.append(
-        f"- unfairness vs alpha: **{unfairness_trend}** (paper: increasing)"
-    )
-    lines.append(
-        f"- alpha=20 converges toward FR-FCFS: "
-        f"**{'yes' if converges else 'no'}**"
-    )
-    lines.append("")
-    return lines
+def _fig15_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    table = _table(["alpha", "unfairness", "weighted speedup"], [
+        [
+            str(row["alpha"]) if row["alpha"] is not None else "FR-FCFS",
+            f"{row['unfairness']:.2f}",
+            f"{row['weighted_speedup']:.2f}",
+        ]
+        for row in result["rows"]
+    ])
+    return _section(result, table, [
+        "unfairness vs alpha: "
+        f"**{verdicts['unfairness_rises_with_alpha'].direction}** "
+        "(paper: increasing)",
+        "alpha=20 converges toward FR-FCFS: "
+        f"{_yes(verdicts['large_alpha_converges_to_frfcfs'])}",
+    ])
 
 
-def _table5_section(result: dict) -> list[str]:
-    lines = ["### table5: sensitivity to banks and row-buffer size", ""]
-    lines.append(
-        "| config | paper FR-FCFS/STFM unfairness | measured FR-FCFS/STFM |"
-    )
-    lines.append("|---|---|---|")
-    banks_frfcfs, rb_frfcfs, stfm_all = [], [], []
+def _table5_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    rows = []
     for row in result["rows"]:
-        key = (row["axis"], row["value"])
-        paper = paper_data.PAPER_TABLE5.get(key, {})
-        label = (
-            f"{row['value']} banks"
-            if row["axis"] == "banks"
-            else f"{row['value'] // 1024} KB row"
-        )
-        lines.append(
-            f"| {label} | {_fmt(paper.get('frfcfs_unfairness'))} / "
-            f"{_fmt(paper.get('stfm_unfairness'))} | "
-            f"{row['frfcfs_unfairness']:.2f} / {row['stfm_unfairness']:.2f} |"
-        )
-        stfm_all.append(row["stfm_unfairness"])
-        if row["axis"] == "banks":
-            banks_frfcfs.append(row["frfcfs_unfairness"])
-        else:
-            rb_frfcfs.append(row["frfcfs_unfairness"])
-    lines.append("")
-    lines.append(
-        f"- FR-FCFS unfairness vs bank count: "
-        f"**{trend_direction(banks_frfcfs)}** (paper: decreasing)"
+        paper = experiment.paper.get((row["axis"], row["value"]), {})
+        rows.append([
+            point_label(row["axis"], row["value"]),
+            f"{_fmt(paper.get('frfcfs_unfairness'))} / "
+            f"{_fmt(paper.get('stfm_unfairness'))}",
+            f"{row['frfcfs_unfairness']:.2f} / {row['stfm_unfairness']:.2f}",
+        ])
+    table = _table(
+        ["config", "paper FR-FCFS/STFM unfairness", "measured FR-FCFS/STFM"],
+        rows,
     )
-    lines.append(
-        f"- FR-FCFS unfairness vs row-buffer size: "
-        f"**{trend_direction(rb_frfcfs, tolerance=0.05)}** (paper: increasing)"
-    )
-    stfm_flat = max(stfm_all) / min(stfm_all) < 1.15
-    lines.append(
-        f"- STFM unfairness flat across all six configs: "
-        f"**{'yes' if stfm_flat else 'no'}** "
-        f"(range {min(stfm_all):.2f}-{max(stfm_all):.2f}; paper 1.37-1.41)"
-    )
-    lines.append("")
-    return lines
+    stfm = [row["stfm_unfairness"] for row in result["rows"]]
+    paper_stfm = [p["stfm_unfairness"] for p in experiment.paper.values()]
+    return _section(result, table, [
+        "FR-FCFS unfairness vs bank count: "
+        f"**{verdicts['frfcfs_falls_with_banks'].direction}** "
+        "(paper: decreasing)",
+        "FR-FCFS unfairness vs row-buffer size: "
+        f"**{verdicts['frfcfs_rises_with_row_buffer'].direction}** "
+        "(paper: increasing)",
+        "STFM unfairness flat across all six configs: "
+        f"{_yes(verdicts['stfm_flat'])} "
+        f"(range {min(stfm):.2f}-{max(stfm):.2f}; "
+        f"paper {min(paper_stfm):.2f}-{max(paper_stfm):.2f})",
+    ])
 
 
-def _fig3_section(result: dict) -> list[str]:
-    by_policy = {row["policy"]: row for row in result["rows"]}
-    lines = ["### fig3 (qualitative): NFQ idleness problem", ""]
-    lines.append("| policy | continuous | mean bursty | unfairness |")
-    lines.append("|---|---|---|---|")
-    for policy, row in by_policy.items():
-        lines.append(
-            f"| {policy} | {row['continuous_slowdown']:.2f} | "
-            f"{row['mean_bursty_slowdown']:.2f} | {row['unfairness']:.2f} |"
-        )
-    nfq_starves = (
-        by_policy["NFQ"]["continuous_slowdown"]
-        > by_policy["NFQ"]["mean_bursty_slowdown"]
-    )
-    stfm_balanced = (
-        by_policy["STFM"]["unfairness"] < by_policy["NFQ"]["unfairness"]
-    )
-    lines.append("")
-    lines.append(
-        f"- NFQ penalizes the continuous thread: "
-        f"**{'yes' if nfq_starves else 'no'}** (the idleness problem)"
-    )
-    lines.append(
-        f"- STFM fairer than NFQ here: **{'yes' if stfm_balanced else 'no'}**"
-    )
-    lines.append("")
-    return lines
+def _fig3_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    table = _table(["policy", "continuous", "mean bursty", "unfairness"], [
+        [row["policy"]] + [
+            f"{row[key]:.2f}" for key in
+            ("continuous_slowdown", "mean_bursty_slowdown", "unfairness")
+        ]
+        for row in result["rows"]
+    ])
+    return _section(result, table, [
+        "NFQ penalizes the continuous thread: "
+        f"{_yes(verdicts['nfq_penalizes_continuous'])} (the idleness problem)",
+        f"STFM fairer than NFQ here: {_yes(verdicts['stfm_fairer_than_nfq'])}",
+    ])
 
 
-def _attack_section(result: dict) -> list[str]:
-    by_policy = {row["policy"]: row for row in result["rows"]}
-    lines = ["### attack (extension): memory performance attack", ""]
-    lines.append("| policy | victim slowdown under attack | amplification |")
-    lines.append("|---|---|---|")
-    for policy, row in by_policy.items():
-        lines.append(
-            f"| {policy} | {row['victim_slowdown_attacked']:.2f} | "
-            f"x{row['attack_amplification']:.2f} |"
-        )
-    contained = (
-        by_policy["STFM"]["attack_amplification"]
-        < 0.5 * by_policy["FR-FCFS"]["attack_amplification"]
+def _attack_section(result: dict, experiment, verdicts: dict) -> list[str]:
+    table = _table(
+        ["policy", "victim slowdown under attack", "amplification"],
+        [
+            [row["policy"], f"{row['victim_slowdown_attacked']:.2f}",
+             f"x{row['attack_amplification']:.2f}"]
+            for row in result["rows"]
+        ],
     )
-    lines.append("")
-    lines.append(
-        f"- STFM contains the attack (amplification less than half of "
-        f"FR-FCFS's): **{'yes' if contained else 'no'}**"
-    )
-    lines.append("")
-    return lines
+    return _section(result, table, [
+        "STFM contains the attack (amplification less than half of "
+        f"FR-FCFS's): {_yes(verdicts['stfm_contains_attack'])}"
+    ])
 
 
 def _generic_section(result: dict) -> list[str]:
     lines = [f"### {result['experiment_id']}: {result['title']}", ""]
     if result.get("paper_reference"):
-        lines.append(f"_{result['paper_reference']}_")
-        lines.append("")
+        lines += [f"_{result['paper_reference']}_", ""]
     rows = result["rows"]
     if rows:
         keys = [k for k in rows[0] if not isinstance(rows[0][k], (list, dict))]
-        lines.append("| " + " | ".join(keys) + " |")
-        lines.append("|" + "---|" * len(keys))
-        for row in rows:
-            lines.append(
-                "| " + " | ".join(_fmt(row.get(k)) for k in keys) + " |"
-            )
-    lines.append("")
-    return lines
+        lines += _table(keys, [[_fmt(row.get(k)) for k in keys] for row in rows])
+    return lines + [""]
+
+
+#: The experiments compared against the paper, in report order (case
+#: studies before sweeps); the rest follow with a generic table.
+_SECTIONS = {
+    "fig1": _fig1_section,
+    "fig3": _fig3_section,
+    "fig5": _fig5_section,
+    **dict.fromkeys(
+        ("fig6", "fig7", "fig8", "fig10", "fig13", "fig9", "fig11", "fig12"),
+        _unfairness_section,
+    ),
+    "fig14": _fig14_section,
+    "fig15": _fig15_section,
+    "table5": _table5_section,
+    "attack": _attack_section,
+}
 
 
 def generate_report(results: list[dict], preamble: str = "") -> str:
     """Render the full paper-vs-measured markdown report."""
-    by_id = _by_id(results)
+    by_id = {result["experiment_id"]: result for result in results}
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -339,34 +241,13 @@ def generate_report(results: list[dict], preamble: str = "") -> str:
     ]
     if preamble:
         lines += [preamble, ""]
-    if "fig1" in by_id:
-        lines += _fig1_section(by_id["fig1"])
-    if "fig3" in by_id:
-        lines += _fig3_section(by_id["fig3"])
-    if "fig5" in by_id:
-        lines += _fig5_section(by_id["fig5"])
-    for experiment_id, title in _CASE_STUDIES.items():
+    for experiment_id, section in _SECTIONS.items():
         if experiment_id in by_id:
-            measured = _case_study_unfairness(by_id[experiment_id])
-            lines += _unfairness_section(experiment_id, title, measured)
-    for experiment_id, title in _SWEEPS.items():
-        if experiment_id in by_id:
-            measured = _sweep_gmean_unfairness(by_id[experiment_id])
-            lines += _unfairness_section(experiment_id, title, measured)
-    if "fig14" in by_id:
-        lines += _fig14_section(by_id["fig14"])
-    if "fig15" in by_id:
-        lines += _fig15_section(by_id["fig15"])
-    if "table5" in by_id:
-        lines += _table5_section(by_id["table5"])
-    if "attack" in by_id:
-        lines += _attack_section(by_id["attack"])
-    handled = (
-        {"fig1", "fig3", "fig5", "fig14", "fig15", "table5", "attack"}
-        | set(_CASE_STUDIES)
-        | set(_SWEEPS)
-    )
-    remaining = [r for r in results if r["experiment_id"] not in handled]
+            result = by_id[experiment_id]
+            experiment = EXPERIMENTS[experiment_id]
+            verdicts = experiment.verdicts(result["rows"])
+            lines += section(result, experiment, verdicts)
+    remaining = [r for r in results if r["experiment_id"] not in _SECTIONS]
     if remaining:
         lines.append("## Calibration, ablations and extensions")
         lines.append("")

@@ -1,21 +1,26 @@
-"""Experiment harness: one module per figure/table of the evaluation.
+"""Experiment harness: one declaration per figure/table of the evaluation.
 
-Every experiment module exposes ``run(scale) -> ExperimentResult``; the
-registry maps experiment ids (``fig1`` ... ``fig15``, ``table3``,
-``table5``, ``fig3``) to those entry points.  Use the CLI::
+The registry maps experiment ids (``fig1`` ... ``fig15``, ``table3``,
+``table5``, ablations and extensions) to
+:class:`~repro.experiments.base.Experiment` declarations: a
+``run(scale) -> ExperimentResult`` entry point (calling the declaration
+runs it), the values the paper reports, and the paper's shapes as named
+predicates over the result rows.  Figures 6-13 share one table in
+:mod:`repro.experiments.comparisons`.  Use the CLI::
 
     python -m repro.cli run fig6 --scale small
 
-or the pytest-benchmark wrappers in ``benchmarks/`` to regenerate a
-paper figure/table.  Scales control instruction budgets and sweep sample
+or ``benchmarks/bench_experiments.py`` to regenerate a paper
+figure/table.  Scales control instruction budgets and sweep sample
 counts (see :data:`repro.experiments.base.SCALES`).
 """
 
-from repro.experiments.base import ExperimentResult, Scale, SCALES
+from repro.experiments.base import Experiment, ExperimentResult, Scale, SCALES
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
 __all__ = [
     "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "SCALES",
     "Scale",

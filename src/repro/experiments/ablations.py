@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
-from repro.experiments.fig06 import WORKLOAD
+from repro.experiments.comparisons import FIG6_WORKLOAD as WORKLOAD
 from repro.sim.results import format_table
 
 

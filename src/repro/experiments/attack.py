@@ -13,7 +13,8 @@ slowdown next to a benign co-runner.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_scale
+from repro.analysis.compare import below
+from repro.experiments.base import Experiment, ExperimentResult, resolve_scale
 from repro.experiments.common import ALL_POLICIES, make_runner
 from repro.sim.results import format_table
 from repro.workloads.spec2006 import BenchmarkSpec
@@ -55,30 +56,19 @@ def run(scale="small") -> ExperimentResult:
     scale = resolve_scale(scale)
     runner = make_runner(2, scale)
     rows = []
-    table_rows = []
     for policy in ALL_POLICIES:
         attacked = runner.run_workload([ATTACKER, VICTIM], policy)
         baseline = runner.run_workload([BENIGN, VICTIM], policy)
         victim_attacked = attacked.threads[1].slowdown
         victim_baseline = baseline.threads[1].slowdown
-        amplification = victim_attacked / victim_baseline
         rows.append(
             {
                 "policy": attacked.policy,
                 "victim_slowdown_attacked": victim_attacked,
                 "victim_slowdown_benign": victim_baseline,
-                "attack_amplification": amplification,
+                "attack_amplification": victim_attacked / victim_baseline,
                 "attacker_slowdown": attacked.threads[0].slowdown,
             }
-        )
-        table_rows.append(
-            [
-                attacked.policy,
-                victim_baseline,
-                victim_attacked,
-                amplification,
-                attacked.threads[0].slowdown,
-            ]
         )
     text = format_table(
         [
@@ -88,7 +78,13 @@ def run(scale="small") -> ExperimentResult:
             "amplification",
             "attacker slowdown",
         ],
-        table_rows,
+        [
+            [row[key] for key in (
+                "policy", "victim_slowdown_benign", "victim_slowdown_attacked",
+                "attack_amplification", "attacker_slowdown",
+            )]
+            for row in rows
+        ],
     )
     return ExperimentResult(
         experiment_id="attack",
@@ -100,3 +96,12 @@ def run(scale="small") -> ExperimentResult:
             "service; a stall-time fair scheduler bounds the amplification."
         ),
     )
+
+
+def _stfm_contains_attack(rows: list[dict]):
+    """STFM's amplification is less than half of FR-FCFS's."""
+    amplification = {row["policy"]: row["attack_amplification"] for row in rows}
+    return below(amplification["STFM"], 0.5 * amplification["FR-FCFS"])
+
+
+EXPERIMENT = Experiment(run, shapes={"stfm_contains_attack": _stfm_contains_attack})

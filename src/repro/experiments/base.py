@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -68,3 +69,33 @@ class ExperimentResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"== {self.experiment_id}: {self.title} ==\n{self.text}"
+
+
+#: A named shape's test: the experiment's rows in, a verdict out (an
+#: object with ``holds`` and a signed ``margin``; see
+#: :mod:`repro.analysis.compare`).
+Shape = Callable[[list[dict]], Any]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment: its entry point, the values the paper
+    reports for it, and the paper's expected shapes (DESIGN.md §4) as
+    named predicates over its rows.
+
+    ``measured``, when set, reduces the rows to a dict keyed like
+    ``paper``.  Calling the experiment runs it, so the registry stays a
+    map of entry points.
+    """
+
+    run: Callable[..., ExperimentResult]
+    paper: Any = None
+    shapes: Mapping[str, Shape] = field(default_factory=dict)
+    measured: Callable[[list[dict]], dict] | None = None
+
+    def __call__(self, scale="small") -> ExperimentResult:
+        return self.run(scale)
+
+    def verdicts(self, rows: list[dict]) -> dict[str, Any]:
+        """Every shape's verdict on ``rows``, by shape name."""
+        return {name: shape(rows) for name, shape in self.shapes.items()}

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
-from repro.experiments import fig06, fig07, fig08
+from repro.experiments.comparisons import (
+    FIG6_WORKLOAD,
+    FIG7_WORKLOAD,
+    FIG8_WORKLOAD,
+)
 from repro.metrics.stats import geometric_mean
 from repro.sim.results import format_table
 
 POLICIES = ["fr-fcfs", "fcfs", "fr-fcfs+cap", "nfq", "stfm", "par-bs"]
 
 WORKLOADS = {
-    "intensive": fig06.WORKLOAD,
-    "mixed": fig07.WORKLOAD,
-    "non-intensive": fig08.WORKLOAD,
+    "intensive": FIG6_WORKLOAD,
+    "mixed": FIG7_WORKLOAD,
+    "non-intensive": FIG8_WORKLOAD,
 }
 
 

@@ -11,9 +11,16 @@ never slowed while the others starve.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_scale
+from repro.analysis.compare import lowest
+from repro.experiments.base import Experiment, ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
 from repro.sim.results import format_table
+
+#: The paper's most and least slowed thread per core count.
+PAPER = {
+    4: {"most_slowed": ("omnetpp", 7.74), "least_slowed": ("libquantum", 1.04)},
+    8: {"most_slowed": ("dealII", 11.35), "least_slowed": ("libquantum", 1.09)},
+}
 
 WORKLOAD_4CORE = ["hmmer", "libquantum", "h264ref", "omnetpp"]
 WORKLOAD_8CORE = [
@@ -53,8 +60,29 @@ def run(scale="small") -> ExperimentResult:
         title="Memory slowdown under FR-FCFS on 4-core and 8-core CMPs",
         rows=rows,
         text="\n\n".join(sections),
-        paper_reference=(
-            "Paper: 4-core omnetpp 7.74x vs libquantum 1.04x; "
-            "8-core dealII 11.35x vs libquantum 1.09x."
-        ),
+        paper_reference="Paper: " + "; ".join(
+            f"{cores}-core {p['most_slowed'][0]} {p['most_slowed'][1]:.2f}x "
+            f"vs {p['least_slowed'][0]} {p['least_slowed'][1]:.2f}x"
+            for cores, p in PAPER.items()
+        ) + ".",
     )
+
+
+def _libquantum_least_slowed(cores: int):
+    """FR-FCFS leaves the high-locality stream the least slowed thread."""
+
+    def shape(rows: list[dict]):
+        return lowest(
+            {r["benchmark"]: r["memory_slowdown"] for r in rows if r["cores"] == cores},
+            "libquantum",
+        )
+
+    return shape
+
+
+EXPERIMENT = Experiment(
+    run,
+    PAPER,
+    {f"libquantum_least_slowed_{cores}core": _libquantum_least_slowed(cores)
+     for cores in PAPER},
+)

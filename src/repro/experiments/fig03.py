@@ -13,7 +13,8 @@ attributable to the scheduler, not the workloads.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_scale
+from repro.analysis.compare import below
+from repro.experiments.base import Experiment, ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
 from repro.sim.results import format_table
 from repro.workloads.spec2006 import BenchmarkSpec
@@ -67,7 +68,6 @@ def run(scale="small") -> ExperimentResult:
         _bursty_spec("bursty-3"),
     ]
     rows = []
-    table_rows = []
     for policy in ("fr-fcfs", "nfq", "stfm"):
         result = runner.run_workload(threads, policy=policy)
         slowdowns = {t.name: t.slowdown for t in result.threads}
@@ -80,18 +80,7 @@ def run(scale="small") -> ExperimentResult:
                 "unfairness": result.unfairness,
             }
         )
-        table_rows.append(
-            [
-                result.policy,
-                slowdowns["continuous"],
-                sum(bursty) / len(bursty),
-                result.unfairness,
-            ]
-        )
-    text = format_table(
-        ["policy", "continuous_slowdown", "mean_bursty_slowdown", "unfairness"],
-        table_rows,
-    )
+    text = format_table(list(rows[0]), [list(row.values()) for row in rows])
     return ExperimentResult(
         experiment_id="fig3",
         title="NFQ idleness problem: continuous vs bursty threads",
@@ -102,3 +91,23 @@ def run(scale="small") -> ExperimentResult:
             "bursty threads return from idleness; STFM treats them equally."
         ),
     )
+
+
+def _nfq_penalizes_continuous(rows: list[dict]):
+    """The idleness problem: NFQ slows the continuous thread the most."""
+    nfq = next(row for row in rows if row["policy"] == "NFQ")
+    return below(nfq["mean_bursty_slowdown"], nfq["continuous_slowdown"])
+
+
+def _stfm_fairer_than_nfq(rows: list[dict]):
+    unfairness = {row["policy"]: row["unfairness"] for row in rows}
+    return below(unfairness["STFM"], unfairness["NFQ"])
+
+
+EXPERIMENT = Experiment(
+    run,
+    shapes={
+        "nfq_penalizes_continuous": _nfq_penalizes_continuous,
+        "stfm_fairer_than_nfq": _stfm_fairer_than_nfq,
+    },
+)

@@ -9,13 +9,19 @@ equally slowed (equal-priority unfairness 1.29/1.20 vs NFQ's 2.77/2.99).
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_scale
+from repro.analysis.compare import below
+from repro.experiments.base import Experiment, ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
 from repro.metrics.fairness import unfairness_index
 from repro.sim.results import format_table
 
 WORKLOAD = ["libquantum", "cactusADM", "astar", "omnetpp"]
-WEIGHT_SETS = [(1.0, 16.0, 1.0, 1.0), (1.0, 4.0, 8.0, 1.0)]
+#: The paper's equal-priority unfairness per weight set and scheme.
+PAPER = {
+    (1.0, 16.0, 1.0, 1.0): {"NFQ-shares": 2.77, "STFM-weights": 1.29},
+    (1.0, 4.0, 8.0, 1.0): {"NFQ-shares": 2.99, "STFM-weights": 1.20},
+}
+WEIGHT_SETS = list(PAPER)
 
 
 def _equal_priority_unfairness(slowdowns, weights) -> float:
@@ -68,9 +74,30 @@ def run(scale="small") -> ExperimentResult:
         title="Thread weights: NFQ shares vs STFM weighted slowdowns",
         rows=rows,
         text="\n\n".join(sections),
-        paper_reference=(
-            "Paper equal-priority unfairness: weights 1-16-1-1 NFQ 2.77 vs "
-            "STFM 1.29; weights 1-4-8-1 NFQ 2.99 vs STFM 1.20; both "
-            "prioritize the heavy thread (STFM cactusADM 1.2x)."
-        ),
+        paper_reference="Paper equal-priority unfairness: " + "".join(
+            f"weights {'-'.join(str(int(w)) for w in weights)} "
+            f"NFQ {paper['NFQ-shares']:.2f} vs STFM {paper['STFM-weights']:.2f}; "
+            for weights, paper in PAPER.items()
+        ) + "both prioritize the heavy thread (STFM cactusADM 1.2x).",
     )
+
+
+def _stfm_keeps_equal_weights_fairer(rows: list[dict]):
+    """STFM's weights keep equal-weight threads fairer than NFQ's shares
+    in every weight set; the margin is the tightest set's."""
+    by_weights: dict[tuple, dict[str, float]] = {}
+    for row in rows:
+        by_weights.setdefault(tuple(row["weights"]), {})[row["scheme"]] = row[
+            "equal_priority_unfairness"
+        ]
+    return min(
+        (below(v["STFM-weights"], v["NFQ-shares"]) for v in by_weights.values()),
+        key=lambda verdict: verdict.margin,
+    )
+
+
+EXPERIMENT = Experiment(
+    run,
+    PAPER,
+    {"stfm_keeps_equal_weights_fairer": _stfm_keeps_equal_weights_fairer},
+)

@@ -9,9 +9,10 @@ fairness, because slowdown estimates are imperfect.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, resolve_scale
+from repro.analysis.compare import below, trend
+from repro.experiments.base import Experiment, ExperimentResult, resolve_scale
 from repro.experiments.common import make_runner
-from repro.experiments.fig06 import WORKLOAD
+from repro.experiments.comparisons import FIG6_WORKLOAD as WORKLOAD
 from repro.sim.results import format_table
 
 ALPHAS = [1.0, 1.05, 1.1, 1.2, 2.0, 5.0, 20.0]
@@ -21,7 +22,6 @@ def run(scale="small") -> ExperimentResult:
     scale = resolve_scale(scale)
     runner = make_runner(4, scale)
     rows = []
-    table_rows = []
     for alpha in ALPHAS:
         result = runner.run_workload(WORKLOAD, "stfm", {"alpha": alpha})
         rows.append(
@@ -36,15 +36,6 @@ def run(scale="small") -> ExperimentResult:
                 ),
             }
         )
-        table_rows.append(
-            [
-                f"alpha={alpha}",
-                result.unfairness,
-                result.weighted_speedup,
-                result.sum_of_ipcs,
-                result.hmean_speedup,
-            ]
-        )
     reference = runner.run_workload(WORKLOAD, "fr-fcfs")
     rows.append(
         {
@@ -55,18 +46,14 @@ def run(scale="small") -> ExperimentResult:
             "hmean_speedup": reference.hmean_speedup,
         }
     )
-    table_rows.append(
-        [
-            "FR-FCFS",
-            reference.unfairness,
-            reference.weighted_speedup,
-            reference.sum_of_ipcs,
-            reference.hmean_speedup,
-        ]
-    )
     text = format_table(
         ["scheme", "unfairness", "weighted_speedup", "sum_of_ipcs", "hmean"],
-        table_rows,
+        [
+            [f"alpha={row['alpha']}" if row["alpha"] is not None else "FR-FCFS"]
+            + [row[key] for key in
+               ("unfairness", "weighted_speedup", "sum_of_ipcs", "hmean_speedup")]
+            for row in rows
+        ],
     )
     return ExperimentResult(
         experiment_id="fig15",
@@ -78,3 +65,26 @@ def run(scale="small") -> ExperimentResult:
             "alpha=1.1 beats alpha=1.0 on throughput at similar fairness."
         ),
     )
+
+
+def _unfairness_rises_with_alpha(rows: list[dict]):
+    return trend(
+        [row["unfairness"] for row in rows if row["alpha"] is not None],
+        "increasing",
+    )
+
+
+def _large_alpha_converges_to_frfcfs(rows: list[dict]):
+    """alpha=20 lands within 35% of FR-FCFS's unfairness."""
+    largest = [row for row in rows if row["alpha"] is not None][-1]
+    frfcfs = next(row for row in rows if row["alpha"] is None)["unfairness"]
+    return below(abs(largest["unfairness"] - frfcfs), 0.35 * frfcfs, strict=False)
+
+
+EXPERIMENT = Experiment(
+    run,
+    shapes={
+        "unfairness_rises_with_alpha": _unfairness_rises_with_alpha,
+        "large_alpha_converges_to_frfcfs": _large_alpha_converges_to_frfcfs,
+    },
+)

@@ -1,8 +1,10 @@
-"""Registry mapping experiment ids to their entry points."""
+"""Registry mapping experiment ids to their declarations.
+
+Each value is an :class:`~repro.experiments.base.Experiment`: calling
+it runs the experiment, and it carries the paper's values and shapes.
+"""
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.experiments import (
     ablations,
@@ -11,52 +13,39 @@ from repro.experiments import (
     fig01,
     fig03,
     fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
     fig14,
     fig15,
     table3,
     table5,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import Experiment, ExperimentResult
+from repro.experiments.comparisons import COMPARISONS
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "fig1": fig01.run,
-    "fig3": fig03.run,
-    "fig5": fig05.run,
-    "fig6": fig06.run,
-    "fig7": fig07.run,
-    "fig8": fig08.run,
-    "fig9": fig09.run,
-    "fig10": fig10.run,
-    "fig11": fig11.run,
-    "fig12": fig12.run,
-    "fig13": fig13.run,
-    "fig14": fig14.run,
-    "fig15": fig15.run,
-    "table3": table3.run,
-    "table5": table5.run,
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig1": fig01.EXPERIMENT,
+    "fig3": fig03.EXPERIMENT,
+    "fig5": fig05.EXPERIMENT,
+    # Figures 6-13: the five schedulers on case studies and sweeps.
+    **COMPARISONS,
+    "fig14": fig14.EXPERIMENT,
+    "fig15": fig15.EXPERIMENT,
+    "table3": Experiment(table3.run),
+    "table5": table5.EXPERIMENT,
     # Ablations beyond the paper's printed figures (see ablations.py).
-    "ablate-gamma": ablations.run_gamma,
-    "ablate-interval": ablations.run_interval,
-    "ablate-estimator": ablations.run_estimator_basis,
-    "ablate-cap": ablations.run_cap,
-    "ablate-page-policy": ablations.run_page_policy,
-    "ablate-refresh": ablations.run_refresh,
+    "ablate-gamma": Experiment(ablations.run_gamma),
+    "ablate-interval": Experiment(ablations.run_interval),
+    "ablate-estimator": Experiment(ablations.run_estimator_basis),
+    "ablate-cap": Experiment(ablations.run_cap),
+    "ablate-page-policy": Experiment(ablations.run_page_policy),
+    "ablate-refresh": Experiment(ablations.run_refresh),
     # The denial-of-memory-service scenario of the paper's reference [20].
-    "attack": attack.run,
+    "attack": attack.EXPERIMENT,
     # Head-to-head with the successor scheduler (ISCA 2008).
-    "extension-parbs": extension_parbs.run,
+    "extension-parbs": Experiment(extension_parbs.run),
 }
 
 
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
+def get_experiment(experiment_id: str) -> Experiment:
     try:
         return EXPERIMENTS[experiment_id.lower()]
     except KeyError:

@@ -4,13 +4,14 @@ import pytest
 
 from repro.analysis.compare import (
     OrderingCheck,
+    lowest,
     ordering_agreement,
-    spread,
-    stfm_is_best,
+    trend,
     trend_direction,
 )
-from repro.analysis.paper_data import PAPER_UNFAIRNESS, POLICY_ORDER
 from repro.analysis.report import generate_report
+from repro.experiments import EXPERIMENTS
+from repro.experiments.comparisons import COMPARISONS, SCHEDULERS
 
 
 class TestOrderingAgreement:
@@ -46,13 +47,32 @@ class TestOrderingAgreement:
         measured = {"A": 3.0}
         assert ordering_agreement(paper, measured).comparisons == 0
 
+    def test_measured_tie_scored_the_same_in_any_key_order(self):
+        """fig10 at the tiny scale: FR-FCFS and FR-FCFS+Cap measure the
+        same unfairness, which orders the pair neither way."""
+        paper = COMPARISONS["fig10"].paper
+        measured = {
+            "FR-FCFS": 1.7903, "FCFS": 1.70, "FR-FCFS+Cap": 1.7903,
+            "NFQ": 1.60, "STFM": 1.20,
+        }
+        forward = ordering_agreement(paper, measured)
+        backward = ordering_agreement(
+            dict(reversed(paper.items())), dict(reversed(measured.items()))
+        )
+        assert (forward.agreements, forward.comparisons) == (8, 9)
+        assert (backward.agreements, backward.comparisons) == (8, 9)
+        assert ("FR-FCFS", "FR-FCFS+Cap") not in forward.disagreements
+
 
 class TestHelpers:
     def test_stfm_is_best(self):
-        assert stfm_is_best({"STFM": 1.0, "FR-FCFS": 2.0})
-        assert not stfm_is_best({"STFM": 3.0, "FR-FCFS": 2.0})
+        best = lowest({"STFM": 1.0, "FR-FCFS": 2.0}, "STFM")
+        assert best.holds and best.margin == pytest.approx(0.5)
+        worst = lowest({"STFM": 3.0, "FR-FCFS": 2.0}, "STFM")
+        assert not worst.holds and worst.margin == pytest.approx(-0.5)
+        assert lowest({"STFM": 2.0, "FR-FCFS": 2.0}, "STFM").holds
         with pytest.raises(KeyError):
-            stfm_is_best({"FR-FCFS": 2.0})
+            lowest({"FR-FCFS": 2.0}, "STFM")
 
     def test_trend_direction(self):
         assert trend_direction([1.0, 2.0, 3.0]) == "increasing"
@@ -61,10 +81,31 @@ class TestHelpers:
         assert trend_direction([1.0, 2.0, 1.0]) == "mixed"
         assert trend_direction([1.0]) == "flat"
 
+    def test_trend_margin_sign_follows_the_verdict(self):
+        rising = trend([1.0, 1.5, 2.0], "increasing")
+        assert rising.holds and rising.margin > 0
+        assert rising.direction == "increasing"
+        falling = trend([1.0, 1.5, 2.0], "decreasing")
+        assert not falling.holds and falling.margin < 0
+        wiggle = trend([1.0, 2.0, 1.0], "increasing")
+        assert wiggle.direction == "mixed" and wiggle.margin < 0
+
     def test_spread(self):
-        assert spread({"a": 4.0, "b": 2.0, "c": None}) == 2.0
-        with pytest.raises(ValueError):
-            spread({"a": None})
+        """The report's spread is worst/best over the values present: the
+        paper quotes only FCFS and STFM for fig12."""
+        report = generate_report([{
+            "experiment_id": "fig12",
+            "title": "t",
+            "paper_reference": "",
+            "rows": [{
+                "workload": "GMEAN",
+                **{f"unfairness:{key}": 2.0 for key in
+                   ("fr-fcfs", "fcfs", "fr-fcfs+cap", "nfq")},
+                "unfairness:stfm": 1.0,
+            }],
+            "extras": {},
+        }])
+        assert "spread (worst/best scheduler): paper 1.27, measured 2.00" in report
 
     def test_ordering_check_str(self):
         assert "2/3" in str(OrderingCheck(2, 3))
@@ -73,17 +114,16 @@ class TestHelpers:
 class TestPaperData:
     def test_all_case_studies_have_all_policies(self):
         for experiment_id in ("fig6", "fig7", "fig8", "fig10", "fig13", "fig9"):
-            values = PAPER_UNFAIRNESS[experiment_id]
-            assert set(values) == set(POLICY_ORDER)
+            values = EXPERIMENTS[experiment_id].paper
+            assert tuple(values) == SCHEDULERS
             assert all(v is not None for v in values.values())
 
     def test_stfm_always_best_in_paper(self):
         """Sanity: the transcribed numbers show STFM winning everywhere
         the paper quotes a full set."""
-        for values in PAPER_UNFAIRNESS.values():
-            present = {k: v for k, v in values.items() if v is not None}
-            if "STFM" in present:
-                assert present["STFM"] == min(present.values())
+        for experiment in COMPARISONS.values():
+            present = {k: v for k, v in experiment.paper.items() if v is not None}
+            assert lowest(present, "STFM").holds
 
 
 class TestGenerateReport:

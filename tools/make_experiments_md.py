@@ -29,13 +29,19 @@ reproduction target: who wins, which threads each scheduler victimizes,
 pairwise policy orderings, and parameter trends.  Each section below
 reports those checks explicitly.
 
-**Headline**: STFM is the fairest scheduler in every comparison but
-one (the 16-core GMEAN, where FCFS edges it by ~5% at this reduced
-scale) while matching or improving weighted speedup.  Its measured
-GMEAN unfairness lands strikingly close to the paper's published
-values — 4-core 1.19 vs paper 1.24, 8-core 1.36 vs paper 1.40, 16-core
-1.74 vs paper 1.75 — and the paper's qualitative mechanisms reproduce:
-FR-FCFS's row-buffer/intensity bias, NFQ's idleness and access-balance
+**Headline**: STFM is the fairest scheduler in every case study and
+in the 4- and 8-core sweeps, while matching or improving weighted
+speedup.  Three of the paper's shapes are missed at this reduced
+scale: at 16 cores FCFS edges STFM's GMEAN unfairness by ~5% (1.66 vs
+1.74, fig12); with weights 1-4-8-1, NFQ's shares keep the equal-weight
+threads fairer than STFM's weights (1.14 vs 1.50), so fig14's shape
+reads **no**; and unfairness against alpha is **mixed**, not
+increasing (fig15).  STFM's own GMEAN unfairness lies near the paper's
+(4-core 1.19 vs 1.24, 8-core 1.36 vs 1.40, 16-core 1.74 vs 1.75), but
+the baselines' lie far below the paper's (4-core FR-FCFS 2.00 vs 5.31),
+so STFM's lead over them is much narrower than in the paper.  The
+paper's qualitative mechanisms reproduce: FR-FCFS's
+row-buffer/intensity bias, NFQ's idleness and access-balance
 pathologies, Table 5's bank/row-buffer trends, and the ~3x FR-FCFS
 attack amplification that STFM contains.
 """
