@@ -12,8 +12,9 @@ absolute numbers, agreement is defined over *shapes*:
 Each experiment declares its shapes as named predicates over its rows
 (:class:`repro.experiments.base.Experiment`); the helpers here are what
 those predicates return.  Every result has ``holds`` and a signed
-``margin`` (positive when the shape holds, in the shape's own relative
-units), so a caller can count and rank verdicts without reading text.
+``margin`` in the shape's own relative units: at least 0 when the shape
+holds, at most 0 when it fails, and farther from 0 the clearer the
+verdict.  So a caller can count and rank verdicts without reading text.
 """
 
 from __future__ import annotations
@@ -41,13 +42,17 @@ class Trend(Verdict):
 class OrderingCheck:
     """Result of the pairwise-ordering comparison.
 
-    Reads as a verdict: it holds when no compared pair disagrees, and
-    its margin is ``score - 1``.
+    Reads as a verdict: it holds when no compared pair disagrees.  Its
+    margin is the smallest signed relative gap over the compared pairs
+    (``|a - b| / max(a, b)`` of the measured values, negative for a pair
+    ordered against the paper): the closest agreeing pair when all
+    agree, the worst disagreeing pair otherwise, 0 with no pair compared.
     """
 
     agreements: int
     comparisons: int
     disagreements: tuple[tuple[str, str], ...] = ()
+    margin: float = 0.0
 
     @property
     def score(self) -> float:
@@ -58,10 +63,6 @@ class OrderingCheck:
     @property
     def holds(self) -> bool:
         return not self.disagreements
-
-    @property
-    def margin(self) -> float:
-        return self.score - 1.0
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"{self.agreements}/{self.comparisons} pairwise orderings"
@@ -82,8 +83,7 @@ def ordering_agreement(
     keys = [
         k for k, v in paper.items() if v is not None and k in measured
     ]
-    agreements = 0
-    comparisons = 0
+    gaps = []
     disagreements = []
     for a, b in itertools.combinations(keys, 2):
         paper_a, paper_b = paper[a], paper[b]
@@ -91,14 +91,18 @@ def ordering_agreement(
             continue
         if measured[a] == measured[b]:
             continue
-        comparisons += 1
-        paper_says_a_higher = paper_a > paper_b
-        measured_says_a_higher = measured[a] > measured[b]
-        if paper_says_a_higher == measured_says_a_higher:
-            agreements += 1
+        gap = abs(measured[a] - measured[b]) / max(measured[a], measured[b])
+        if (paper_a > paper_b) == (measured[a] > measured[b]):
+            gaps.append(gap)
         else:
+            gaps.append(-gap)
             disagreements.append((a, b))
-    return OrderingCheck(agreements, comparisons, tuple(disagreements))
+    return OrderingCheck(
+        len(gaps) - len(disagreements),
+        len(gaps),
+        tuple(disagreements),
+        min(gaps, default=0.0),
+    )
 
 
 def below(value: float, bound: float, strict: bool = True) -> Verdict:

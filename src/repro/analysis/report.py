@@ -12,6 +12,7 @@ them.
 from __future__ import annotations
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.comparisons import unfairness
 from repro.experiments.table5 import point_label
 
 
@@ -50,7 +51,7 @@ def _section(result: dict, table: list[str], bullets: list[str]) -> list[str]:
 
 def _unfairness_section(result: dict, experiment, verdicts: dict) -> list[str]:
     paper = experiment.paper
-    measured = experiment.measured(result["rows"])
+    measured = unfairness(result["rows"])
     check = verdicts["orders_like_paper"]
     bullets = [
         f"STFM fairest: {_yes(verdicts['stfm_fairest'])}",

@@ -83,15 +83,13 @@ class Experiment:
     reports for it, and the paper's expected shapes (DESIGN.md §4) as
     named predicates over its rows.
 
-    ``measured``, when set, reduces the rows to a dict keyed like
-    ``paper``.  Calling the experiment runs it, so the registry stays a
-    map of entry points.
+    Calling the experiment runs it, so the registry stays a map of entry
+    points.
     """
 
     run: Callable[..., ExperimentResult]
     paper: Any = None
     shapes: Mapping[str, Shape] = field(default_factory=dict)
-    measured: Callable[[list[dict]], dict] | None = None
 
     def __call__(self, scale="small") -> ExperimentResult:
         return self.run(scale)

@@ -66,6 +66,19 @@ def _sampled(cores: int, sample_workloads):
     return workloads
 
 
+def unfairness(rows: list[dict]) -> dict[str, float]:
+    """Unfairness per scheduler, keyed like the paper's values: a case
+    study's rows, or a sweep's GMEAN row."""
+    if "policy" in rows[0]:
+        return {row["policy"]: row["unfairness"] for row in rows}
+    gmean = next(row for row in rows if row["workload"] == "GMEAN")
+    return {
+        name: gmean[f"unfairness:{key}"]
+        for name, key in zip(SCHEDULERS, ALL_POLICIES)
+        if gmean.get(f"unfairness:{key}") is not None
+    }
+
+
 def _comparison(experiment_id, title, cores, workloads, paper, quote):
     """Declare one figure.
 
@@ -104,28 +117,15 @@ def _comparison(experiment_id, title, cores, workloads, paper, quote):
             paper_reference=quote.format(values=values, **paper),
         )
 
-    def measured(rows: list[dict]) -> dict[str, float]:
-        """Unfairness per scheduler: the case study's rows, or the
-        sweep's GMEAN row."""
-        if not sweep:
-            return {row["policy"]: row["unfairness"] for row in rows}
-        gmean = next(row for row in rows if row.get("workload") == "GMEAN")
-        return {
-            name: gmean[f"unfairness:{key}"]
-            for name, key in zip(SCHEDULERS, ALL_POLICIES)
-            if gmean.get(f"unfairness:{key}") is not None
-        }
-
     return Experiment(
         run,
         paper,
         {
-            "stfm_fairest": lambda rows: lowest(measured(rows), "STFM"),
+            "stfm_fairest": lambda rows: lowest(unfairness(rows), "STFM"),
             "orders_like_paper": lambda rows: ordering_agreement(
-                paper, measured(rows)
+                paper, unfairness(rows)
             ),
         },
-        measured,
     )
 
 

@@ -58,6 +58,10 @@ def _bursty_spec(name: str) -> BenchmarkSpec:
     )
 
 
+#: The row fields the table shows, in column order.
+_TABLE_KEYS = ("policy", "continuous_slowdown", "mean_bursty_slowdown", "unfairness")
+
+
 def run(scale="small") -> ExperimentResult:
     scale = resolve_scale(scale)
     runner = make_runner(4, scale)
@@ -80,7 +84,9 @@ def run(scale="small") -> ExperimentResult:
                 "unfairness": result.unfairness,
             }
         )
-    text = format_table(list(rows[0]), [list(row.values()) for row in rows])
+    text = format_table(
+        list(_TABLE_KEYS), [[row[key] for key in _TABLE_KEYS] for row in rows]
+    )
     return ExperimentResult(
         experiment_id="fig3",
         title="NFQ idleness problem: continuous vs bursty threads",

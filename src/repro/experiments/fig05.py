@@ -28,6 +28,17 @@ PAPER = {
     "hmean_speedup_gain": 1.065,
 }
 
+#: The row fields the per-pair table shows, in column order.
+_TABLE_KEYS = (
+    "partner",
+    "frfcfs_mcf",
+    "frfcfs_partner",
+    "frfcfs_unfairness",
+    "stfm_mcf",
+    "stfm_partner",
+    "stfm_unfairness",
+)
+
 #: Table 3 order, minus mcf itself.
 PARTNERS = [name for name in SPEC2006 if name != "mcf"]
 
@@ -62,9 +73,7 @@ def run(scale="small", partners: list[str] | None = None) -> ExperimentResult:
             "stfm_hmean": stfm.hmean_speedup,
         }
         rows.append(row)
-    # The table shows each pair's first seven fields: partner, then
-    # mcf, partner and unfairness under FR-FCFS and under STFM.
-    table_rows = [list(row.values())[:7] for row in rows]
+    table_rows = [[row[key] for key in _TABLE_KEYS] for row in rows]
 
     gmean_unf_frfcfs = geometric_mean([r["frfcfs_unfairness"] for r in rows])
     gmean_unf_stfm = geometric_mean([r["stfm_unfairness"] for r in rows])

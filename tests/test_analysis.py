@@ -42,6 +42,23 @@ class TestOrderingAgreement:
         assert check.comparisons == 0
         assert check.score == 1.0
 
+    def test_margin_is_the_closest_agreeing_gap(self):
+        paper = {"A": 5.0, "B": 2.0, "C": 1.0}
+        clear = ordering_agreement(paper, {"A": 4.0, "B": 2.0, "C": 1.0})
+        close = ordering_agreement(paper, {"A": 4.0, "B": 2.0, "C": 1.9})
+        assert clear.holds and clear.margin == pytest.approx(0.5)
+        assert close.holds and close.margin == pytest.approx(0.05)
+
+    def test_margin_is_minus_the_worst_disagreeing_gap(self):
+        paper = {"A": 5.0, "B": 2.0, "C": 1.0}
+        check = ordering_agreement(paper, {"A": 1.8, "B": 2.0, "C": 4.0})
+        assert not check.holds
+        assert check.margin == pytest.approx(-0.55)  # A vs C
+
+    def test_margin_is_zero_with_nothing_compared(self):
+        check = ordering_agreement({"A": 2.07, "B": 2.08}, {"A": 3.0, "B": 1.0})
+        assert check.holds and check.margin == 0.0
+
     def test_missing_measured_key_skipped(self):
         paper = {"A": 5.0, "B": 1.0}
         measured = {"A": 3.0}

@@ -145,7 +145,7 @@ def test_every_shape_holds_on_its_holding_rows(experiment_id):
     assert verdicts
     for name, verdict in verdicts.items():
         assert verdict.holds is True, name
-        assert verdict.margin >= 0, name
+        assert verdict.margin > 0, name
 
 
 @pytest.mark.parametrize("experiment_id", sorted(CASES))
