@@ -16,7 +16,17 @@ counts (see :data:`repro.experiments.base.SCALES`).
 """
 
 from repro.experiments.base import Experiment, ExperimentResult, Scale, SCALES
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+
+
+def __getattr__(name: str):
+    # The registry imports every experiment module, so it loads on first
+    # use: a process that needs only ``base`` (``SCALES``) skips it.
+    if name in ("EXPERIMENTS", "get_experiment", "run_experiment"):
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EXPERIMENTS",

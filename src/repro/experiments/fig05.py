@@ -28,16 +28,16 @@ PAPER = {
     "hmean_speedup_gain": 1.065,
 }
 
-#: The row fields the per-pair table shows, in column order.
-_TABLE_KEYS = (
-    "partner",
-    "frfcfs_mcf",
-    "frfcfs_partner",
-    "frfcfs_unfairness",
-    "stfm_mcf",
-    "stfm_partner",
-    "stfm_unfairness",
-)
+#: The per-pair table: row field -> column header, in column order.
+_COLUMNS = {
+    "partner": "partner",
+    "frfcfs_mcf": "FRFCFS:mcf",
+    "frfcfs_partner": "FRFCFS:other",
+    "frfcfs_unfairness": "FRFCFS:unf",
+    "stfm_mcf": "STFM:mcf",
+    "stfm_partner": "STFM:other",
+    "stfm_unfairness": "STFM:unf",
+}
 
 #: Table 3 order, minus mcf itself.
 PARTNERS = [name for name in SPEC2006 if name != "mcf"]
@@ -73,7 +73,9 @@ def run(scale="small", partners: list[str] | None = None) -> ExperimentResult:
             "stfm_hmean": stfm.hmean_speedup,
         }
         rows.append(row)
-    table_rows = [[row[key] for key in _TABLE_KEYS] for row in rows]
+    table = format_table(
+        list(_COLUMNS.values()), [[row[key] for key in _COLUMNS] for row in rows]
+    )
 
     gmean_unf_frfcfs = geometric_mean([r["frfcfs_unfairness"] for r in rows])
     gmean_unf_stfm = geometric_mean([r["stfm_unfairness"] for r in rows])
@@ -94,18 +96,6 @@ def run(scale="small", partners: list[str] | None = None) -> ExperimentResult:
     }
     rows.append(summary)
 
-    table = format_table(
-        [
-            "partner",
-            "FRFCFS:mcf",
-            "FRFCFS:other",
-            "FRFCFS:unf",
-            "STFM:mcf",
-            "STFM:other",
-            "STFM:unf",
-        ],
-        table_rows,
-    )
     text = (
         f"{table}\n\n"
         f"GMEAN unfairness: FR-FCFS {gmean_unf_frfcfs:.2f} -> STFM "

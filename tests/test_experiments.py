@@ -1,5 +1,9 @@
 """Tests for the experiment harness (all ids, tiny scale)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, SCALES, Scale, run_experiment
@@ -58,6 +62,31 @@ class TestRegistry:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment("fig99")
+
+    def test_importing_base_does_not_load_the_registry(self):
+        """``repro.experiments.base`` alone (``SCALES``, ``Scale``) must
+        not import every experiment module; the registry loads on the
+        first use of ``EXPERIMENTS``."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = (
+            "import sys, repro.experiments.base\n"
+            "print('repro.experiments.registry' in sys.modules)\n"
+            "import repro.experiments\n"
+            "print(len(repro.experiments.EXPERIMENTS) > 0,"
+            " 'repro.experiments.registry' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["False", "True", "True"]
+
+    def test_unknown_package_attribute(self):
+        import repro.experiments
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.experiments.no_such_name
 
 
 @pytest.mark.parametrize("experiment_id", FAST_IDS)
